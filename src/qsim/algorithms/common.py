@@ -1,4 +1,4 @@
-"""Shared result envelope and the H-layer / oracle / post-processing skeleton."""
+"""Shared result envelope and the register read-out every driver ends with."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit import Circuit
 from ..qstate import Distribution, StateVector, marginal_probs
 
 
@@ -29,34 +28,15 @@ class GroverGeometry:
     predicted_success: float
 
 
-def skeleton_circuit(num_qubits: int, h_qubits, oracle: Circuit, post_ops, measured) -> Circuit:
-    """Assemble the common driver shape: H layer, oracle, post-processing, measure."""
-    c = Circuit(num_qubits)
-    for q in h_qubits:
-        c.h(q)
-    for op in oracle.ops:
-        c.append_op(op)
-    for op in post_ops:
-        c.append_op(op)
-    if measured:
-        c.measure(measured)
-    return c
+def readout(state: StateVector, qubits, rng: np.random.Generator | None):
+    """Exact marginal law of a register and one draw from it, without collapse.
 
-
-def register_distribution(state: StateVector, qubits) -> Distribution:
-    """Exact marginal law of a register, keyed by bitstring."""
+    Returns (distribution, bitstring); the bitstring is None when ``rng`` is.
+    """
     qubits = sorted(qubits)
     probs = marginal_probs(state, qubits)
     probs = probs / probs.sum()
     width = len(qubits)
     entries = {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs)}
-    return Distribution("exact", entries)
-
-
-def sample_register(state: StateVector, qubits, rng: np.random.Generator) -> str:
-    """Draw one outcome of measuring ``qubits`` without collapsing the state."""
-    qubits = sorted(qubits)
-    probs = marginal_probs(state, qubits)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
-    return format(outcome, f"0{len(qubits)}b")
+    bits = None if rng is None else format(int(rng.choice(len(probs), p=probs)), f"0{width}b")
+    return Distribution("exact", entries), bits

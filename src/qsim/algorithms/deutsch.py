@@ -7,7 +7,7 @@ import numpy as np
 from ..circuit import Circuit, simulate
 from ..oracles import TruthTable, synth_bit_oracle, synth_phase_oracle
 from ..qstate import basis_state, kron
-from .common import AlgorithmResult, register_distribution, sample_register
+from .common import AlgorithmResult, readout
 
 
 def _minus_input(n: int):
@@ -39,9 +39,7 @@ def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> Algorithm
     c = deutsch_circuit(f, economical)
     initial = basis_state(1, 0) if economical else _minus_input(1)
     final = simulate(c, initial)
-    dist = register_distribution(final, [0])
-    rng = np.random.default_rng(seed)
-    outcome = sample_register(final, [0], rng)
+    dist, outcome = readout(final, [0], np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
 
@@ -62,9 +60,7 @@ def deutsch_jozsa(oracle: Circuit, n: int, seed: int = 0) -> AlgorithmResult:
     """Constant iff the first register reads all zeros; promise is not checked."""
     c = dj_circuit(oracle, n)
     final = simulate(c, _minus_input(n))
-    dist = register_distribution(final, range(n))
-    rng = np.random.default_rng(seed)
-    outcome = sample_register(final, range(n), rng)
+    dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" * n else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
 
@@ -122,7 +118,5 @@ def bernstein_vazirani(
     c = bv_circuit(oracle, n, economical)
     initial = basis_state(n, 0) if economical else _minus_input(n)
     final = simulate(c, initial)
-    dist = register_distribution(final, range(n))
-    rng = np.random.default_rng(seed)
-    outcome = sample_register(final, range(n), rng)
+    dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     return AlgorithmResult(answer=outcome, exact_distribution=dist)

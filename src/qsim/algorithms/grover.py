@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
-from ..circuit import Circuit, simulate
+from ..circuit import Circuit, require_qubits, simulate
 from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, synth_bit_oracle, synth_phase_oracle
 from ..qstate import Distribution, basis_state, kron
-from .common import AlgorithmResult, GroverGeometry, register_distribution, sample_register
+from .common import AlgorithmResult, GroverGeometry, readout
 
 
 def grover_geometry(n: int, num_marked: int) -> GroverGeometry:
@@ -72,6 +72,7 @@ def grover(
     seed: int = 0,
 ) -> AlgorithmResult:
     """Search for a marked string; answer carries the sample and a degeneracy flag."""
+    require_qubits(n + 1 if variant == "standard" else n)
     marked = sorted(set(marked))
     big_n = 1 << n
     rng = np.random.default_rng(seed)
@@ -94,8 +95,7 @@ def grover(
         final = simulate(c, simulate(minus, initial))
     else:
         final = simulate(c)
-    dist = register_distribution(final, range(n))
-    x = sample_register(final, range(n), rng)
+    dist, x = readout(final, range(n), rng)
     return AlgorithmResult(
         answer={"x": x, "degenerate": False},
         exact_distribution=dist,
@@ -145,6 +145,7 @@ def sat_solve(
         raise ValueError("SAT driver is capped at 12 variables")
     big_n = 1 << n_vars
     oracle, width = _sat_oracle(e, n_vars)
+    require_qubits(width)  # ancillas included, so known only once the formula is compiled
     rng = np.random.default_rng(seed)
 
     def run_with(iterations: int):
@@ -155,9 +156,7 @@ def sat_solve(
         for _ in range(iterations):
             c.extend(oracle)
             c.extend(diff)
-        final = simulate(c)
-        dist = register_distribution(final, range(n_vars))
-        return sample_register(final, range(n_vars), rng), dist
+        return readout(simulate(c), range(n_vars), rng)
 
     guesses = (
         [m_known]
@@ -168,7 +167,7 @@ def sat_solve(
     for guess in guesses:
         attempts += 1
         iterations = grover_geometry(n_vars, guess).iterations
-        sample, dist = run_with(iterations)
+        dist, sample = run_with(iterations)
         if e.evaluate(sample) == 1:
             return AlgorithmResult(
                 answer=sample, exact_distribution=dist, rounds_used=attempts

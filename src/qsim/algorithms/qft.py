@@ -31,6 +31,20 @@ def inverse_qft_circuit(n: int) -> Circuit:
     return c
 
 
+def inverse_qft_registers(m: int, width: int, starts) -> Circuit:
+    """Inverse transform of each m-qubit register starting at a qubit in ``starts``."""
+    inverse = inverse_qft_circuit(m)
+    c = Circuit(width)
+    for start in starts:
+        for op in inverse.ops:
+            c.append(
+                op.gate,
+                tuple(t + start for t in op.targets),
+                tuple((q + start, v) for q, v in op.controls),
+            )
+    return c
+
+
 def crk_decomposition(k: int) -> Circuit:
     """Controlled R_k from two CNOTs and three R_{k+1}-family gates.
 

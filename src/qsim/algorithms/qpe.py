@@ -12,14 +12,14 @@ import math
 
 import numpy as np
 
-from ..circuit import Circuit, simulate
+from ..circuit import Circuit, require_qubits, simulate
 from ..gates import Gate, GateApplication, apply
 from ..numtheory import mod_pow, mult_order
 from ..oracles import PermutationOracle, apply_permutation, modmul_oracle
-from ..qstate import StateVector, basis_state, kron, measure
-from .common import AlgorithmResult, register_distribution, sample_register
-from .qft import inverse_qft_circuit
-from .shor import shor_registers
+from ..qstate import StateVector, basis_state, kron
+from .common import AlgorithmResult, readout
+from .qft import inverse_qft_registers
+from .shor import order_finding_readout, shor_registers
 
 
 def _controlled_power_layer(state: StateVector, u, m: int, work_qubits) -> StateVector:
@@ -47,6 +47,7 @@ def _controlled_power_layer(state: StateVector, u, m: int, work_qubits) -> State
 def _qpe_state(u, eigenstate: StateVector, m: int) -> StateVector:
     """Counting register through the kickback cascade and inverse transform."""
     work = eigenstate.num_qubits
+    require_qubits(m + work)
     first = basis_state(m, 0)
     c = Circuit(m)
     for q in range(m):
@@ -54,11 +55,7 @@ def _qpe_state(u, eigenstate: StateVector, m: int) -> StateVector:
     first = simulate(c, first)
     state = kron(first, eigenstate)
     state = _controlled_power_layer(state, u, m, list(range(m, m + work)))
-
-    post = Circuit(m + work)
-    for op in inverse_qft_circuit(m).ops:
-        post.append_op(op)
-    return simulate(post, state)
+    return simulate(inverse_qft_registers(m, m + work, (0,)), state)
 
 
 def qpe(u, eigenstate: StateVector, m: int, seed: int = 0) -> AlgorithmResult:
@@ -66,10 +63,8 @@ def qpe(u, eigenstate: StateVector, m: int, seed: int = 0) -> AlgorithmResult:
     if m < 1:
         raise ValueError("the counting register needs at least one qubit")
     state = _qpe_state(u, eigenstate, m)
-    dist = register_distribution(state, range(m))
-    rng = np.random.default_rng(seed)
-    phi_tilde = int(sample_register(state, range(m), rng), 2)
-    return AlgorithmResult(answer=phi_tilde, exact_distribution=dist)
+    dist, bits = readout(state, range(m), np.random.default_rng(seed))
+    return AlgorithmResult(answer=int(bits, 2), exact_distribution=dist)
 
 
 def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
@@ -81,7 +76,8 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     """
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
-    q, m, n = shor_registers(modulus)
+    _, m, n = shor_registers(modulus)
+    require_qubits(m + n)
     rng = np.random.default_rng(seed)
 
     first = basis_state(m, 0)
@@ -91,19 +87,7 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     first = simulate(c, first)
     state = kron(first, basis_state(n, 1))
     state = _controlled_power_layer(state, modmul_oracle(a, modulus), m, list(range(m, m + n)))
-
-    record = measure(state, range(m, m + n), rng)
-    z = int(record.outcome, 2)
-    sub = record.post_state.amps[z :: 1 << n].copy()
-    sub /= np.linalg.norm(sub)
-    reduced = StateVector(m, sub)
-    reduced = simulate(inverse_qft_circuit(m), reduced)
-
-    dist = register_distribution(reduced, range(m))
-    ell = int(sample_register(reduced, range(m), rng), 2)
-    c_count = sum(1 for e in range(q) if mod_pow(a, e, modulus) == z)
-    answer = {"ell": ell, "z": z, "q": q, "m": m, "n": n, "c": c_count}
-    return AlgorithmResult(answer=answer, exact_distribution=dist)
+    return order_finding_readout(state, a, modulus, rng)
 
 
 def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmResult:
@@ -117,6 +101,7 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
         raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
     width = 2 * m + n
+    require_qubits(width)
     rng = np.random.default_rng(seed)
 
     c = Circuit(width)
@@ -136,16 +121,9 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
         state = apply_permutation(state, powered, targets=work, controls=((2 * m - 1 - j, 1),))
         powered = powered.power(2)
 
-    post = Circuit(width)
-    for op in inverse_qft_circuit(m).ops:
-        post.append_op(op)
-    for op in inverse_qft_circuit(m).ops:
-        post.append(op.gate, tuple(t + m for t in op.targets),
-                    tuple((qq + m, v) for qq, v in op.controls))
-    state = simulate(post, state)
+    state = simulate(inverse_qft_registers(m, width, (0, m)), state)
 
-    dist = register_distribution(state, range(2 * m))
-    joint = sample_register(state, range(2 * m), rng)
+    dist, joint = readout(state, range(2 * m), rng)
     phi1, phi2 = int(joint[:m], 2), int(joint[m:], 2)
     s = None
     if r & (r - 1) == 0 and (1 << m) == r and math.gcd(phi1, r) == 1:
@@ -172,13 +150,13 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
     big_n = 1 << n
     if len(marked) > big_n:
         raise ValueError("marked set larger than the domain")
+    require_qubits(m + n)
     step = Gate("GUf", _grover_step_matrix(n, marked))
 
     uniform = StateVector(n, np.full(big_n, 1.0 / math.sqrt(big_n), dtype=complex))
     state = _qpe_state(step, uniform, m)
-    dist = register_distribution(state, range(m))
-    rng = np.random.default_rng(seed)
-    phi_tilde = int(sample_register(state, range(m), rng), 2)
+    dist, bits = readout(state, range(m), np.random.default_rng(seed))
+    phi_tilde = int(bits, 2)
     estimate = big_n * math.sin(math.pi * phi_tilde / (1 << m)) ** 2
     return AlgorithmResult(
         answer={"estimate": estimate, "phi_tilde": phi_tilde},

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..circuit import Circuit, simulate
+from ..circuit import Circuit, require_qubits, simulate
 from ..numtheory import (
     best_order_candidate,
     is_perfect_power,
@@ -23,8 +23,8 @@ from ..oracles import (
     smallest_power_of_two_above,
 )
 from ..qstate import Distribution, StateVector, basis_state, measure
-from .common import AlgorithmResult, register_distribution, sample_register
-from .qft import inverse_qft_circuit
+from .common import AlgorithmResult, readout
+from .qft import inverse_qft_circuit, inverse_qft_registers
 
 
 def shor_registers(modulus: int):
@@ -36,6 +36,7 @@ def shor_registers(modulus: int):
 
 
 def _uniform_exponent_state(m: int, n: int) -> StateVector:
+    require_qubits(m + n)
     amps = np.zeros(1 << (m + n), dtype=complex)
     amps[:: 1 << n][: 1 << m] = 1.0 / math.sqrt(1 << m)
     return StateVector(m + n, amps)
@@ -57,19 +58,26 @@ def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
 
     state = _uniform_exponent_state(m, n)
     state = apply_permutation(state, modexp_oracle(a, modulus, q))
+    return order_finding_readout(state, a, modulus, rng)
+
+
+def order_finding_readout(state: StateVector, a: int, modulus: int, rng) -> AlgorithmResult:
+    """Collapse the work register, inverse-transform the exponent register, read it out.
+
+    The tail shared by shor_quantum_part and qpe_order_finding; ``rng`` draws
+    the collapse first and the read-out second.
+    """
+    q, m, n = shor_registers(modulus)
     record = measure(state, range(m, m + n), rng)
     z = int(record.outcome, 2)
 
-    # collapsed exponent-register state, then the inverse Fourier transform
     sub = record.post_state.amps[z :: 1 << n].copy()
     sub /= np.linalg.norm(sub)
-    first = StateVector(m, sub)
-    first = simulate(inverse_qft_circuit(m), first)
+    first = simulate(inverse_qft_circuit(m), StateVector(m, sub))
 
-    dist = register_distribution(first, range(m))
-    ell = int(sample_register(first, range(m), rng), 2)
+    dist, bits = readout(first, range(m), rng)
     c = sum(1 for e in range(q) if mod_pow(a, e, modulus) == z)
-    answer = {"ell": ell, "z": z, "q": q, "m": m, "n": n, "c": c}
+    answer = {"ell": int(bits, 2), "z": z, "q": q, "m": m, "n": n, "c": c}
     return AlgorithmResult(answer=answer, exact_distribution=dist)
 
 
@@ -162,6 +170,7 @@ def shor_factor(
 
 def _dlog_function_oracle(modulus: int, a: int, b: int, m: int, n: int) -> PermutationOracle:
     """Permutation |x>|y>|z> -> |x>|y>|z xor (a^x b^y mod modulus)>."""
+    require_qubits(2 * m + n)
     values = np.empty(1 << (2 * m), dtype=np.int64)
     for x in range(1 << m):
         ax = mod_pow(a, x, modulus)
@@ -200,16 +209,9 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     state = apply_permutation(state, oracle)
     record = measure(state, range(2 * m, width), rng)
 
-    post = Circuit(width)
-    for op in inverse_qft_circuit(m).ops:
-        post.append_op(op)
-    for op in inverse_qft_circuit(m).ops:
-        post.append(op.gate, tuple(t + m for t in op.targets),
-                    tuple((q + m, v) for q, v in op.controls))
-    state = simulate(post, record.post_state)
+    state = simulate(inverse_qft_registers(m, width, (0, m)), record.post_state)
 
-    dist = register_distribution(state, range(2 * m))
-    joint = sample_register(state, range(2 * m), rng)
+    dist, joint = readout(state, range(2 * m), rng)
     r1, r2 = int(joint[:m], 2), int(joint[m:], 2)
     if math.gcd(r1, r) == 1:
         s = r2 * mod_inverse(r1, r) % r

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuit import Circuit, simulate
+from ..circuit import Circuit, require_qubits, simulate
 from ..gf2 import BitMatrix, InsufficientRankError, rank, simon_postprocess
 from ..oracles import PermutationOracle, apply_permutation
 from ..qstate import StateVector, basis_state, measure
-from .common import AlgorithmResult, register_distribution, sample_register
+from .common import AlgorithmResult, readout
 
 
 def _post_oracle_state(oracle, n: int) -> StateVector:
     """Uniform first register through the oracle, second register |0...0>."""
+    require_qubits(2 * n)
     state = basis_state(2 * n, 0)
     c = Circuit(2 * n)
     for q in range(n):
@@ -39,7 +40,7 @@ def simon_round_distribution(oracle, n: int):
     """Exact first-register law of one quantum round (collapse-independent)."""
     state = _post_oracle_state(oracle, n)
     state = _hadamard_first_register(state, n)
-    return register_distribution(state, range(n))
+    return readout(state, range(n), None)[0]
 
 
 def simon_round(oracle, n: int, rng: np.random.Generator, _base: StateVector | None = None) -> str:
@@ -47,7 +48,7 @@ def simon_round(oracle, n: int, rng: np.random.Generator, _base: StateVector | N
     state = _base if _base is not None else _post_oracle_state(oracle, n)
     record = measure(state, range(n, 2 * n), rng)
     state = _hadamard_first_register(record.post_state, n)
-    return sample_register(state, range(n), rng)
+    return readout(state, range(n), rng)[1]
 
 
 def simon_batch(oracle, n: int, rng: np.random.Generator):

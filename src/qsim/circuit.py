@@ -31,6 +31,12 @@ def max_qubits() -> int:
     return int(os.environ.get("QSIM_MAX_QUBITS", DEFAULT_MAX_QUBITS))
 
 
+def require_qubits(n: int) -> None:
+    """Refuse an n-qubit state above the cap; call before allocating 2**n amplitudes."""
+    if n > max_qubits():
+        raise ResourceLimitError(f"{n} qubits exceeds the cap {max_qubits()}")
+
+
 class Circuit:
     """Ordered gate applications on ``num_qubits`` wires."""
 
@@ -107,8 +113,7 @@ class Circuit:
 
 def simulate(c: Circuit, initial: StateVector | None = None) -> StateVector:
     """Left-to-right application of the ops; the measurement list is ignored."""
-    if c.num_qubits > max_qubits():
-        raise ResourceLimitError(f"{c.num_qubits} qubits exceeds the cap {max_qubits()}")
+    require_qubits(c.num_qubits)
     if initial is None:
         initial = basis_state(c.num_qubits, 0)
     if initial.num_qubits != c.num_qubits:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms
-from .circuit import unitary_of
+from .circuit import ResourceLimitError, unitary_of
 from .oracles import And, BooleanExpr, Not, Or, TruthTable, Var, Xor, xor_permutation_oracle
 
 
@@ -336,7 +336,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         parameters, answer, dist, code = _dispatch(args)
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector
+from .qstate import StateVector, _subspace
 
 UNITARY_ATOL = 1e-10
 
@@ -142,21 +142,8 @@ def apply_to_array(amps: np.ndarray, num_qubits: int, app: GateApplication) -> N
     for q in app.qubits():
         if q < 0 or q >= num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-    batch_shape = amps.shape[1:] if amps.ndim > 1 else ()
-    tensor = amps.reshape([2] * num_qubits + list(batch_shape))
-
-    index = [slice(None)] * tensor.ndim
-    for q, v in app.controls:
-        index[q] = v
-    sub = tensor[tuple(index)]
-
-    control_qubits = {q for q, _ in app.controls}
-    remaining = [q for q in range(num_qubits) if q not in control_qubits]
-    positions = [remaining.index(t) for t in app.targets]
-    k = len(app.targets)
-
-    moved = np.moveaxis(sub, positions, range(k))
-    flat = moved.reshape(1 << k, -1)
+    moved = _subspace(amps, num_qubits, app.targets, app.controls)
+    flat = moved.reshape(1 << len(app.targets), -1)
     moved[...] = (app.gate.matrix @ flat).reshape(moved.shape)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, require_qubits
 from .numtheory import mult_order
-from .qstate import StateVector
+from .qstate import StateVector, _subspace
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ class PermutationOracle:
 def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, controls=()) -> StateVector:
     """Apply |x> -> |perm(x)> on ``targets`` where all control bits match."""
     n = s.num_qubits
+    require_qubits(n)
     k = oracle.total_qubits
     targets = list(range(k)) if targets is None else list(targets)
     if len(targets) != k:
@@ -178,23 +179,15 @@ def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, c
     touched = targets + [q for q, _ in controls]
     if len(set(touched)) != len(touched) or any(q < 0 or q >= n for q in touched):
         raise ValueError("invalid target/control qubits")
-
-    idx = np.arange(1 << n)
-    y = np.zeros(1 << n, dtype=np.int64)
-    for j, t in enumerate(targets):
-        y |= ((idx >> (n - 1 - t)) & 1) << (k - 1 - j)
-    mapped = oracle.mapping[y]
-    new_idx = idx
-    for j, t in enumerate(targets):
-        bit = np.int64(1) << (n - 1 - t)
-        new_idx = (new_idx & ~bit) | (((mapped >> (k - 1 - j)) & 1) << (n - 1 - t))
-
-    sel = np.ones(1 << n, dtype=bool)
-    for q, v in controls:
-        sel &= ((idx >> (n - 1 - q)) & 1) == v
+    if any(v not in (0, 1) for _, v in controls):
+        raise ValueError("control polarity must be 0 or 1")
 
     amps = s.amps.copy()
-    amps[new_idx[sel]] = s.amps[sel]
+    moved = _subspace(amps, n, targets, controls)
+    block = moved.reshape(1 << k, -1)
+    out = np.empty_like(block)
+    out[oracle.mapping] = block
+    moved[...] = out.reshape(moved.shape)
     return StateVector(n, amps)
 
 
@@ -391,6 +384,7 @@ def modexp_oracle(a: int, modulus: int, q: int) -> PermutationOracle:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     m, n = _modexp_sizes(modulus, q)
+    require_qubits(m + n)
     powers = np.empty(q, dtype=np.int64)
     value = 1
     for ell in range(q):

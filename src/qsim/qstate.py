@@ -18,6 +18,24 @@ def _bitstring(index: int, width: int) -> str:
     return format(index, f"0{width}b")
 
 
+def _subspace(amps: np.ndarray, num_qubits: int, targets, controls) -> np.ndarray:
+    """View of ``amps`` with the control bits fixed and ``targets`` moved to the front.
+
+    The result has one length-2 axis per target, in ``targets`` order, followed
+    by the uncontrolled non-target qubits and any trailing batch axes of
+    ``amps``. Writing to it writes through to ``amps``.
+    """
+    tensor = amps.reshape([2] * num_qubits + list(amps.shape[1:]))
+    index = [slice(None)] * num_qubits
+    for q, v in controls:
+        index[q] = v
+    control_qubits = {q for q, _ in controls}
+    remaining = [q for q in range(num_qubits) if q not in control_qubits]
+    positions = [remaining.index(t) for t in targets]
+    # the trailing Ellipsis keeps a view even when every axis is fixed
+    return np.moveaxis(tensor[(*index, ...)], positions, range(len(positions)))
+
+
 class StateVector:
     """Normalized amplitude vector over the 2**n computational basis states."""
 
@@ -146,12 +164,9 @@ def measure(s: StateVector, qubits, rng: np.random.Generator) -> MeasurementReco
     outcome_index = int(rng.choice(1 << k, p=marg / total))
     prob = float(marg[outcome_index])
 
-    indices = np.arange(1 << n)
-    mask = np.ones(1 << n, dtype=bool)
-    for j, q in enumerate(qubits):
-        want = (outcome_index >> (k - 1 - j)) & 1
-        mask &= ((indices >> (n - 1 - q)) & 1) == want
-    post = np.where(mask, s.amps, 0.0)
+    outcome = [(q, (outcome_index >> (k - 1 - j)) & 1) for j, q in enumerate(qubits)]
+    post = np.zeros_like(s.amps)
+    _subspace(post, n, (), outcome)[...] = _subspace(s.amps, n, (), outcome)
     post = post / np.linalg.norm(post)
 
     return MeasurementRecord(

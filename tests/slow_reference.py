@@ -1,0 +1,60 @@
+"""Index-arithmetic reference kernels, kept only as test oracles.
+
+These are the original whole-vector implementations of ``apply_permutation``
+and ``measure``: every basis index is decoded bit by bit into a 2**n int64
+array. They are slow but easy to check by hand; the library's strided
+versions must agree with them exactly.
+"""
+
+import numpy as np
+
+from qsim.qstate import MeasurementRecord, StateVector, marginal_probs
+
+
+def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=()) -> StateVector:
+    n = s.num_qubits
+    k = oracle.total_qubits
+    targets = list(range(k)) if targets is None else list(targets)
+
+    idx = np.arange(1 << n)
+    y = np.zeros(1 << n, dtype=np.int64)
+    for j, t in enumerate(targets):
+        y |= ((idx >> (n - 1 - t)) & 1) << (k - 1 - j)
+    mapped = oracle.mapping[y]
+    new_idx = idx
+    for j, t in enumerate(targets):
+        bit = np.int64(1) << (n - 1 - t)
+        new_idx = (new_idx & ~bit) | (((mapped >> (k - 1 - j)) & 1) << (n - 1 - t))
+
+    sel = np.ones(1 << n, dtype=bool)
+    for q, v in controls:
+        sel &= ((idx >> (n - 1 - q)) & 1) == v
+
+    amps = s.amps.copy()
+    amps[new_idx[sel]] = s.amps[sel]
+    return StateVector(n, amps)
+
+
+def reference_measure(s: StateVector, qubits, rng: np.random.Generator) -> MeasurementRecord:
+    n = s.num_qubits
+    qubits = sorted(qubits)
+    k = len(qubits)
+
+    marg = marginal_probs(s, qubits)
+    outcome_index = int(rng.choice(1 << k, p=marg / marg.sum()))
+    prob = float(marg[outcome_index])
+
+    indices = np.arange(1 << n)
+    mask = np.ones(1 << n, dtype=bool)
+    for j, q in enumerate(qubits):
+        want = (outcome_index >> (k - 1 - j)) & 1
+        mask &= ((indices >> (n - 1 - q)) & 1) == want
+    post = np.where(mask, s.amps, 0.0)
+    post = post / np.linalg.norm(post)
+
+    return MeasurementRecord(
+        measured_qubits=tuple(qubits),
+        outcome=format(outcome_index, f"0{k}b"),
+        probability=prob,
+        post_state=StateVector(n, post),
+    )

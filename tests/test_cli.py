@@ -182,3 +182,30 @@ def test_expression_grammar_precedence():
         parse_bool_expr("a&&b")
     with pytest.raises(ValueError):
         parse_bool_expr("(a|b")
+
+
+def run_failing(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.strip().splitlines()
+
+
+def test_qubit_cap_is_one_error_line_and_exit_2(capsys, monkeypatch):
+    monkeypatch.delenv("QSIM_MAX_QUBITS", raising=False)
+    code, out, err = run_failing(capsys, "grover", "--n", "21", "--marked", "0", "--json")
+    assert (code, out) == (2, "")
+    assert err == ["error: 21 qubits exceeds the cap 20"]
+
+
+def test_capped_shor_is_refused_before_simulation(capsys, monkeypatch):
+    monkeypatch.setenv("QSIM_MAX_QUBITS", "12")
+    code, out, err = run_failing(capsys, "shor", "--N", "21", "--a", "2", "--json")
+    assert (code, out) == (2, "")
+    assert err == ["error: 14 qubits exceeds the cap 12"]
+
+
+def test_missing_table_is_one_error_line_and_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.tt")
+    code, out, err = run_failing(capsys, "dj", "--table", missing, "--json")
+    assert (code, out) == (2, "")
+    assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0]

@@ -1,0 +1,131 @@
+"""The qubit cap holds on every path, before any 2**n allocation.
+
+Each case sets a small ``QSIM_MAX_QUBITS`` and replaces the first expensive
+step after the check with a tripwire, so the test shows both that the request
+is refused and that nothing was built first.
+"""
+
+from importlib import import_module
+
+import numpy as np
+import pytest
+
+from qsim import algorithms as alg
+from qsim.circuit import ResourceLimitError, require_qubits
+from qsim.cli import parse_bool_expr
+from qsim.gates import rk_phase
+from qsim.oracles import PermutationOracle, TruthTable, apply_permutation, modexp_oracle, xor_permutation_oracle
+from qsim.qstate import basis_state
+
+# the package re-exports drivers under their module names, so fetch the modules
+grover_mod, qpe_mod, shor_mod, simon_mod = (
+    import_module(f"qsim.algorithms.{name}") for name in ("grover", "qpe", "shor", "simon")
+)
+
+
+def cap(monkeypatch, n):
+    monkeypatch.setenv("QSIM_MAX_QUBITS", str(n))
+
+
+def tripwire(monkeypatch, module, name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran past the qubit cap")
+
+    monkeypatch.setattr(module, name, fail)
+
+
+def test_require_qubits_at_and_over_the_cap(monkeypatch):
+    cap(monkeypatch, 5)
+    require_qubits(5)
+    with pytest.raises(ResourceLimitError, match="6 qubits exceeds the cap 5"):
+        require_qubits(6)
+
+
+def test_exponent_state(monkeypatch):
+    cap(monkeypatch, 4)
+    with pytest.raises(ResourceLimitError):
+        shor_mod._uniform_exponent_state(3, 2)
+
+
+def test_shor_round_refused_before_the_oracle(monkeypatch):
+    cap(monkeypatch, 12)
+    tripwire(monkeypatch, shor_mod, "modexp_oracle")
+    with pytest.raises(ResourceLimitError):
+        alg.shor_quantum_part(2, 21)
+    with pytest.raises(ResourceLimitError):
+        alg.shor_factor(21, base=2)
+
+
+def test_shor_round_at_the_cap_runs(monkeypatch):
+    cap(monkeypatch, 14)
+    answer = alg.shor_quantum_part(2, 21).answer
+    assert answer["m"] + answer["n"] == 14
+
+
+def test_modexp_oracle(monkeypatch):
+    cap(monkeypatch, 13)
+    with pytest.raises(ResourceLimitError):
+        modexp_oracle(2, 21, 512)
+
+
+def test_dlog_function_oracle(monkeypatch):
+    cap(monkeypatch, 13)
+    with pytest.raises(ResourceLimitError):
+        shor_mod._dlog_function_oracle(34, 27, 3, 4, 6)
+    with pytest.raises(ResourceLimitError):
+        alg.shor_dlog_pow2(34, 27, 3)
+
+
+def test_apply_permutation(monkeypatch):
+    cap(monkeypatch, 4)
+    flip = PermutationOracle(1, np.array([1, 0]))
+    with pytest.raises(ResourceLimitError):
+        apply_permutation(basis_state(5, 0), flip)
+
+
+def test_counting_refused_before_the_dense_step(monkeypatch):
+    cap(monkeypatch, 4)
+    tripwire(monkeypatch, qpe_mod, "_grover_step_matrix")
+    with pytest.raises(ResourceLimitError):
+        alg.quantum_counting(["01"], 2, m=3)
+
+
+def test_phase_estimation_routes(monkeypatch):
+    cap(monkeypatch, 11)
+    tripwire(monkeypatch, qpe_mod, "kron")
+    with pytest.raises(ResourceLimitError):
+        alg.qpe_order_finding(7, 15)
+    with pytest.raises(ResourceLimitError):
+        alg.qpe_dlog(34, 27, 3, 4)
+    with pytest.raises(ResourceLimitError):
+        alg.qpe(rk_phase(3), basis_state(1, 1), 11)
+
+
+@pytest.mark.parametrize("variant, width", [("economical", 4), ("standard", 5)])
+def test_grover_refused_before_any_circuit(monkeypatch, variant, width):
+    cap(monkeypatch, width - 1)
+    tripwire(monkeypatch, grover_mod, "grover_circuit")
+    with pytest.raises(ResourceLimitError):
+        alg.grover(["0110"], 4, variant=variant)
+
+
+def test_grover_degenerate_draw_is_capped(monkeypatch):
+    cap(monkeypatch, 3)
+    with pytest.raises(ResourceLimitError):
+        alg.grover(["0000", "0001", "0010", "0011", "0100", "0101", "0110", "0111", "1000"], 4)
+
+
+def test_sat_refused_before_the_search_circuit(monkeypatch):
+    expr, n_vars = parse_bool_expr("a&b")  # two variables plus one AND ancilla
+    cap(monkeypatch, 2)
+    tripwire(monkeypatch, grover_mod, "diffusion_ops")
+    with pytest.raises(ResourceLimitError):
+        alg.sat_solve(expr, n_vars)
+
+
+def test_simon_refused_before_the_state(monkeypatch):
+    table = TruthTable.from_function(3, 3, lambda x: format(min(int(x, 2), int(x, 2) ^ 0b110), "03b"))
+    cap(monkeypatch, 5)
+    tripwire(monkeypatch, simon_mod, "basis_state")
+    with pytest.raises(ResourceLimitError):
+        alg.simon(xor_permutation_oracle(table), 3, lambda x: table.rows[int(x, 2)])
