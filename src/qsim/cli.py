@@ -51,6 +51,9 @@ def _top_entries(dist, top: int, shots: int | None, seed: int) -> list | None:
         probs = np.array([entries[k] for k in keys], dtype=float)
         counts = rng.multinomial(shots, probs / probs.sum())
         entries = {k: int(c) for k, c in zip(keys, counts) if c > 0}
+    elif dist.kind == "exact":
+        # 12 absolute places, so float noise (and -0.0) neither prints nor decides the order
+        entries = {k: round(v, 12) + 0.0 for k, v in entries.items()}
     ordered = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
     return [{"bitstring": k, "value": v} for k, v in ordered[:top]]
 
