@@ -1,9 +1,9 @@
 """Phase estimation and its applications: order finding, discrete logarithm,
 and quantum counting.
 
-Controlled powers U**(2**j) are produced by repeated squaring of the
-permutation mapping or of the dense matrix, never by 2**j sequential
-applications.
+Controlled powers U**(2**j) come from repeated squaring of a permutation
+mapping or a gate matrix, or, for a step given as a callable (the Grover
+iterate of counting), from 2**j sequential in-place applications.
 """
 
 from __future__ import annotations
@@ -13,56 +13,68 @@ import math
 import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
-from ..gates import Gate, GateApplication, apply
+from ..gates import Gate, GateApplication, apply_to_array
 from ..numtheory import mod_pow, mult_order
-from ..oracles import PermutationOracle, apply_permutation, modmul_oracle
+from ..oracles import PermutationOracle, _permute_array, modmul_oracle
 from ..qstate import StateVector, basis_state, kron
 from .common import AlgorithmResult, readout
 from .qft import inverse_qft_registers
 from .shor import order_finding_readout, shor_registers
 
 
-def _controlled_power_layer(state: StateVector, u, m: int, work_qubits) -> StateVector:
-    """Apply C(U^(2^j)) for j = 0..m-1, control m-1-j, onto the work register."""
-    if isinstance(u, PermutationOracle):
-        powered = u
+def _controlled_power_layer(state: StateVector, us, m: int) -> StateVector:
+    """For the i-th operator U of ``us``, apply C(U^(2^j)) with control i*m+m-1-j, j < m.
+
+    U acts on the w-qubit work register after the len(us) counting registers.
+    A PermutationOracle or Gate is squared for each power; a step callable acts
+    in place on the control-selected ``(..., 2**w)`` view, 2**j times. One copy
+    of the amplitudes is updated.
+    """
+    n = state.num_qubits
+    work = tuple(range(len(us) * m, n))
+    amps = state.amps.copy()
+    for i, u in enumerate(us):
+        power = getattr(u, "mapping", getattr(u, "matrix", None))
         for j in range(m):
-            state = apply_permutation(
-                state, powered, targets=work_qubits, controls=((m - 1 - j, 1),)
-            )
-            if j + 1 < m:
-                powered = powered.power(2)
-        return state
-    if isinstance(u, Gate):
-        matrix = u.matrix
-        for j in range(m):
-            gate = Gate(f"{u.name}^{1 << j}", matrix)
-            state = apply(state, GateApplication(gate, tuple(work_qubits), ((m - 1 - j, 1),)))
-            if j + 1 < m:
-                matrix = matrix @ matrix
-        return state
-    raise TypeError("controlled powers need a PermutationOracle or a Gate")
+            control = i * m + m - 1 - j
+            if isinstance(u, PermutationOracle):
+                _permute_array(amps, n, power, work, ((control, 1),))
+                power = power[power]
+            elif isinstance(u, Gate):
+                gate = Gate(f"{u.name}^{1 << j}", power)
+                apply_to_array(amps, n, GateApplication(gate, work, ((control, 1),)))
+                power = power @ power
+            elif callable(u):
+                selected = amps.reshape(1 << control, 2, -1, 1 << len(work))[:, 1]
+                for _ in range(1 << j):
+                    u(selected)
+            else:
+                raise TypeError("controlled powers need a PermutationOracle, a Gate or a step callable")
+    return StateVector(n, amps)
 
 
-def _qpe_state(u, eigenstate: StateVector, m: int) -> StateVector:
-    """Counting register through the kickback cascade and inverse transform."""
-    work = eigenstate.num_qubits
-    require_qubits(m + work)
-    first = basis_state(m, 0)
-    c = Circuit(m)
-    for q in range(m):
+def _kickback_state(us, eigenstate: StateVector, m: int) -> StateVector:
+    """One uniform m-qubit counting register per operator, then the controlled powers."""
+    width = len(us) * m
+    require_qubits(width + eigenstate.num_qubits)
+    c = Circuit(width)
+    for q in range(width):
         c.h(q)
-    first = simulate(c, first)
-    state = kron(first, eigenstate)
-    state = _controlled_power_layer(state, u, m, list(range(m, m + work)))
-    return simulate(inverse_qft_registers(m, m + work, (0,)), state)
+    state = kron(simulate(c, basis_state(width, 0)), eigenstate)
+    return _controlled_power_layer(state, us, m)
+
+
+def _qpe_state(us, eigenstate: StateVector, m: int) -> StateVector:
+    """Counting registers through the kickback cascade and inverse transform."""
+    state = _kickback_state(us, eigenstate, m)
+    return simulate(inverse_qft_registers(m, state.num_qubits, range(0, len(us) * m, m)), state)
 
 
 def qpe(u, eigenstate: StateVector, m: int, seed: int = 0) -> AlgorithmResult:
     """Estimate the eigenphase of u on ``eigenstate`` with m fractional bits."""
     if m < 1:
         raise ValueError("the counting register needs at least one qubit")
-    state = _qpe_state(u, eigenstate, m)
+    state = _qpe_state((u,), eigenstate, m)
     dist, bits = readout(state, range(m), np.random.default_rng(seed))
     return AlgorithmResult(answer=int(bits, 2), exact_distribution=dist)
 
@@ -77,16 +89,9 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     _, m, n = shor_registers(modulus)
-    require_qubits(m + n)
+    require_qubits(m + n)  # before the work-register oracle, too
     rng = np.random.default_rng(seed)
-
-    first = basis_state(m, 0)
-    c = Circuit(m)
-    for qq in range(m):
-        c.h(qq)
-    first = simulate(c, first)
-    state = kron(first, basis_state(n, 1))
-    state = _controlled_power_layer(state, modmul_oracle(a, modulus), m, list(range(m, m + n)))
+    state = _kickback_state((modmul_oracle(a, modulus),), basis_state(n, 1), m)
     return order_finding_readout(state, a, modulus, rng)
 
 
@@ -100,29 +105,9 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
         raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
-    width = 2 * m + n
-    require_qubits(width)
+    require_qubits(2 * m + n)  # before the work-register oracles, too
     rng = np.random.default_rng(seed)
-
-    c = Circuit(width)
-    for qq in range(2 * m):
-        c.h(qq)
-    state = simulate(c, kron(basis_state(2 * m, 0), basis_state(n, 1)))
-    work = list(range(2 * m, width))
-
-    ua = modmul_oracle(a, modulus)
-    powered = ua
-    for j in range(m):
-        state = apply_permutation(state, powered, targets=work, controls=((m - 1 - j, 1),))
-        powered = powered.power(2)
-    ub = modmul_oracle(b, modulus)
-    powered = ub
-    for j in range(m):
-        state = apply_permutation(state, powered, targets=work, controls=((2 * m - 1 - j, 1),))
-        powered = powered.power(2)
-
-    state = simulate(inverse_qft_registers(m, width, (0, m)), state)
-
+    state = _qpe_state((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), basis_state(n, 1), m)
     dist, joint = readout(state, range(2 * m), rng)
     phi1, phi2 = int(joint[:m], 2), int(joint[m:], 2)
     s = None
@@ -132,14 +117,22 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     return AlgorithmResult(answer=answer, exact_distribution=dist, success=s is not None)
 
 
-def _grover_step_matrix(n: int, marked) -> np.ndarray:
-    """Dense matrix of one amplification step: phase oracle then reflection."""
-    big_n = 1 << n
-    oracle_diag = np.ones(big_n)
+def _grover_step(n: int, marked):
+    """One counting step (2|s><s| - I) O, in place along the last axis.
+
+    This is the iterate whose eigenphases on the uniform state are +-theta.
+    ``grover.diffusion_ops`` reflects with the opposite sign; under a control
+    that -1 is a relative phase and would move the estimate from M to N - M.
+    """
+    signs = np.ones(1 << n)
     for bits in marked:
-        oracle_diag[int(bits, 2)] = -1.0
-    reflection = 2.0 / big_n * np.ones((big_n, big_n)) - np.eye(big_n)
-    return reflection * oracle_diag[None, :]
+        signs[int(bits, 2)] = -1.0
+
+    def step(x: np.ndarray) -> None:
+        x *= signs
+        np.subtract(2.0 * x.mean(axis=-1, keepdims=True), x, out=x)
+
+    return step
 
 
 def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> AlgorithmResult:
@@ -147,14 +140,15 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
     if m is None:
         m = math.ceil(n / 2) + 1
     marked = sorted(set(marked))
-    big_n = 1 << n
-    if len(marked) > big_n:
-        raise ValueError("marked set larger than the domain")
+    for bits in marked:
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
     require_qubits(m + n)
-    step = Gate("GUf", _grover_step_matrix(n, marked))
+    step = _grover_step(n, marked)
 
+    big_n = 1 << n
     uniform = StateVector(n, np.full(big_n, 1.0 / math.sqrt(big_n), dtype=complex))
-    state = _qpe_state(step, uniform, m)
+    state = _qpe_state((step,), uniform, m)
     dist, bits = readout(state, range(m), np.random.default_rng(seed))
     phi_tilde = int(bits, 2)
     estimate = big_n * math.sin(math.pi * phi_tilde / (1 << m)) ** 2

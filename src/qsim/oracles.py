@@ -172,10 +172,7 @@ def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, c
     """Apply |x> -> |perm(x)> on ``targets`` where all control bits match."""
     n = s.num_qubits
     require_qubits(n)
-    k = oracle.total_qubits
-    targets = list(range(k)) if targets is None else list(targets)
-    if len(targets) != k:
-        raise ValueError("target count must match the oracle width")
+    targets = list(range(oracle.total_qubits)) if targets is None else list(targets)
     touched = targets + [q for q, _ in controls]
     if len(set(touched)) != len(touched) or any(q < 0 or q >= n for q in touched):
         raise ValueError("invalid target/control qubits")
@@ -183,12 +180,19 @@ def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, c
         raise ValueError("control polarity must be 0 or 1")
 
     amps = s.amps.copy()
-    moved = _subspace(amps, n, targets, controls)
-    block = moved.reshape(1 << k, -1)
-    out = np.empty_like(block)
-    out[oracle.mapping] = block
-    moved[...] = out.reshape(moved.shape)
+    _permute_array(amps, n, oracle.mapping, targets, controls)
     return StateVector(n, amps)
+
+
+def _permute_array(amps: np.ndarray, num_qubits: int, mapping: np.ndarray, targets, controls) -> None:
+    """In-place |x> -> |mapping[x]> on ``targets`` of ``amps``."""
+    if len(mapping) != 1 << len(targets):
+        raise ValueError("target count must match the oracle width")
+    moved = _subspace(amps, num_qubits, targets, controls)
+    block = moved.reshape(len(mapping), -1)
+    out = np.empty_like(block)
+    out[mapping] = block
+    moved[...] = out.reshape(moved.shape)
 
 
 def _row_controls(x: int, n: int):

@@ -58,3 +58,26 @@ def reference_measure(s: StateVector, qubits, rng: np.random.Generator) -> Measu
         probability=prob,
         post_state=StateVector(n, post),
     )
+
+
+def reference_counting_law(marked, n: int, m: int) -> np.ndarray:
+    """Counting-register law from the dense Grover step and repeated squaring.
+
+    The step (2|s><s| - I) O is a 2**n x 2**n matrix; counting-register value
+    k carries U**k on the uniform work state, built from the powers U**(2**j)
+    for the set bits of k, and the inverse transform is ``np.fft.fft``.
+    """
+    size, count = 1 << n, 1 << m
+    signs = np.ones(size)
+    for bits in marked:
+        signs[int(bits, 2)] = -1.0
+    power = (2.0 / size * np.ones((size, size)) - np.eye(size)) * signs[None, :]
+
+    rows = np.full((count, size), 1.0 / np.sqrt(count * size), dtype=complex)
+    has_bit = (np.arange(count)[:, None] >> np.arange(m)) & 1 == 1
+    for j in range(m):
+        rows[has_bit[:, j]] = rows[has_bit[:, j]] @ power.T
+        if j + 1 < m:
+            power = power @ power
+    spectrum = np.fft.fft(rows, axis=0) / np.sqrt(count)
+    return (np.abs(spectrum) ** 2).sum(axis=1)

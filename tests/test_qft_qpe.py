@@ -193,3 +193,9 @@ def test_counting_edge_cases():
 def test_counting_default_register_size():
     res = alg.quantum_counting(["0011"], 4, seed=0)
     assert len(next(iter(res.exact_distribution.entries))) == 3  # ceil(4/2)+1
+
+
+@pytest.mark.parametrize("marked", [["1"], ["0111"], ["0a"], ["01", "1"]])
+def test_counting_rejects_strings_that_are_not_n_bit(marked):
+    with pytest.raises(ValueError, match="is not an 2-bit string"):
+        alg.quantum_counting(marked, 2, m=2)
