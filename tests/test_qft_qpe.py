@@ -104,6 +104,13 @@ def test_qpe_dyadic_exactness(m):
         )
 
 
+def test_qpe_rejects_an_operator_of_the_wrong_width():
+    with pytest.raises(ValueError, match="oracle width"):
+        alg.qpe(modmul_oracle(2, 3), basis_state(3, 1), 2)
+    with pytest.raises(ValueError, match="wants 1 targets"):
+        alg.qpe(rk_phase(2), basis_state(2, 1), 2)
+
+
 # --- order finding via phase estimation ------------------------------------
 
 
