@@ -3,7 +3,7 @@ and quantum counting.
 
 Controlled powers U**(2**j) come from repeated squaring of a permutation
 mapping or a gate matrix, or, for a step given as a callable (the Grover
-iterate of counting), from 2**j sequential in-place applications.
+iterate of counting), from the callable applying U**k in place for k = 2**j.
 """
 
 from __future__ import annotations
@@ -26,30 +26,33 @@ def _controlled_power_layer(state: StateVector, us, m: int) -> StateVector:
     """For the i-th operator U of ``us``, apply C(U^(2^j)) with control i*m+m-1-j, j < m.
 
     U acts on the w-qubit work register after the len(us) counting registers.
-    A PermutationOracle or Gate is squared for each power; a step callable acts
-    in place on the control-selected ``(..., 2**w)`` view, 2**j times. One copy
-    of the amplitudes is updated.
+    A PermutationOracle or Gate is squared for each power; a step callable
+    ``u(x, k)`` applies U^k in place to the control-selected ``(..., 2**w)``
+    view x. One copy of the amplitudes is updated.
     """
     n = state.num_qubits
     work = tuple(range(len(us) * m, n))
     amps = state.amps.copy()
     for i, u in enumerate(us):
-        power = getattr(u, "mapping", getattr(u, "matrix", None))
-        for j in range(m):
-            control = i * m + m - 1 - j
-            if isinstance(u, PermutationOracle):
-                _permute_array(amps, n, power, work, ((control, 1),))
-                power = power[power]
-            elif isinstance(u, Gate):
-                gate = Gate(f"{u.name}^{1 << j}", power)
+        controls = [i * m + m - 1 - j for j in range(m)]
+        if isinstance(u, PermutationOracle):
+            mapping = u.mapping
+            for j, control in enumerate(controls):
+                if j:
+                    mapping = mapping[mapping]
+                _permute_array(amps, n, mapping, work, ((control, 1),))
+        elif isinstance(u, Gate):
+            matrix = u.matrix
+            for j, control in enumerate(controls):
+                if j:
+                    matrix = matrix @ matrix
+                gate = Gate(f"{u.name}^{1 << j}", matrix)
                 apply_to_array(amps, n, GateApplication(gate, work, ((control, 1),)))
-                power = power @ power
-            elif callable(u):
-                selected = amps.reshape(1 << control, 2, -1, 1 << len(work))[:, 1]
-                for _ in range(1 << j):
-                    u(selected)
-            else:
-                raise TypeError("controlled powers need a PermutationOracle, a Gate or a step callable")
+        elif callable(u):
+            for j, control in enumerate(controls):
+                u(amps.reshape(1 << control, 2, -1, 1 << len(work))[:, 1], 1 << j)
+        else:
+            raise TypeError("controlled powers need a PermutationOracle, a Gate or a step callable")
     return StateVector(n, amps)
 
 
@@ -118,19 +121,34 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
 
 
 def _grover_step(n: int, marked):
-    """One counting step (2|s><s| - I) O, in place along the last axis.
+    """The counting step G = (2|s><s| - I) O as ``step(x, k)``: x <- G^k x in place along the last axis.
 
     This is the iterate whose eigenphases on the uniform state are +-theta.
     ``grover.diffusion_ops`` reflects with the opposite sign; under a control
     that -1 is a relative phase and would move the estimate from M to N - M.
+    G^k costs one pass for every k: G rotates span{|good>, |bad>}, the uniform
+    superpositions of the M marked and the N - M unmarked strings, by
+    theta = 2 asin(sqrt(M/N)); it leaves the rest of the marked block alone and
+    negates the rest of the unmarked block.
     """
-    signs = np.ones(1 << n)
+    size = 1 << n
+    good = np.zeros(size)
     for bits in marked:
-        signs[int(bits, 2)] = -1.0
+        good[int(bits, 2)] = 1.0
+    count = len(marked)
+    theta = 2.0 * math.asin(math.sqrt(count / size))
+    # Rows: the unit vectors |good> and |bad> (a zero row when that block is empty).
+    basis = np.stack([good / math.sqrt(max(count, 1)), (1.0 - good) / math.sqrt(max(size - count, 1))])
+    flip = 2.0 * good - 1.0
 
-    def step(x: np.ndarray) -> None:
-        x *= signs
-        np.subtract(2.0 * x.mean(axis=-1, keepdims=True), x, out=x)
+    def step(x: np.ndarray, k: int) -> None:
+        coeffs = x.reshape(-1, size) @ basis.T
+        cos, sin = math.cos(k * theta), math.sin(k * theta)
+        turned = coeffs @ np.array([[cos, -sin], [sin, cos]])
+        if k % 2:
+            x *= flip
+            coeffs[:, 1] *= -1.0
+        x += ((turned - coeffs) @ basis).reshape(x.shape)
 
     return step
 

@@ -1,7 +1,7 @@
 """Matrix-free quantum counting against the dense reference and the closed form.
 
-``quantum_counting`` applies the Grover step 2**j times in place for power j.
-The reference in ``slow_reference`` builds the 2**n x 2**n step and squares
+``quantum_counting`` applies the Grover step G**(2**j) in place for power j,
+in closed form (a rotation on span{|good>, |bad>}). The reference in ``slow_reference`` builds the 2**n x 2**n step and squares
 it; both must give the two-eigenphase law of Brassard, Hoyer, Mosca and Tapp:
 1/2 sum_+- |2^-m sum_k e^{2 pi i k (+-theta/2pi - j/2^m)}|^2, with
 theta = 2 asin(sqrt(M/N)).
@@ -38,9 +38,9 @@ def counting_law(result, m: int) -> np.ndarray:
 
 
 @st.composite
-def counting_cases(draw):
-    n = draw(st.integers(1, 7))
-    m = draw(st.integers(1, 5))
+def counting_cases(draw, max_n, min_m, max_m):
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(min_m, max_m))
     size = 1 << n
     indices = draw(
         st.one_of(
@@ -52,15 +52,26 @@ def counting_cases(draw):
     return n, m, [format(x, f"0{n}b") for x in sorted(indices)], draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=150, deadline=None)
-@given(counting_cases())
-def test_counting_matches_dense_reference_and_closed_form(case):
+def check_counting(case):
     n, m, marked, seed = case
     res = alg.quantum_counting(marked, n, m=m, seed=seed)
     law = counting_law(res, m)
     assert np.max(np.abs(law - reference_counting_law(marked, n, m))) <= LAW_ATOL
     assert np.max(np.abs(law - closed_form_law(n, len(marked), m))) <= LAW_ATOL
     assert law[res.answer["phi_tilde"]] > 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(counting_cases(max_n=7, min_m=1, max_m=5))
+def test_counting_matches_dense_reference_and_closed_form(case):
+    check_counting(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(counting_cases(max_n=3, min_m=4, max_m=8))
+def test_counting_with_more_counting_than_work_qubits(case):
+    # Powers up to G**128 on a work register of at most 8 states.
+    check_counting(case)
 
 
 def test_counting_n10_matches_dense_reference():
