@@ -7,6 +7,7 @@ appearance), operators ``! & ^ |`` with parentheses, precedence ! > & > ^ > |.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 import time
@@ -52,7 +53,12 @@ def _top_entries(dist, top: int, shots: int | None, seed: int) -> list | None:
         counts = rng.multinomial(shots, probs / probs.sum())
         entries = {k: int(c) for k, c in zip(keys, counts) if c > 0}
     elif dist.kind == "exact":
-        # 12 absolute places, so float noise (and -0.0) neither prints nor decides the order
+        # 12 absolute places, so float noise (and -0.0) neither prints nor decides the order.
+        # Rounding moves a value by at most 5e-13, so only values within 1e-12 of the
+        # top-th largest can make the cut; the rest are not rounded.
+        if 0 < top < len(entries):
+            cut = heapq.nlargest(top, entries.values())[-1] - 1e-12
+            entries = {k: v for k, v in entries.items() if v >= cut}
         entries = {k: round(v, 12) + 0.0 for k, v in entries.items()}
     ordered = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
     return [{"bitstring": k, "value": v} for k, v in ordered[:top]]

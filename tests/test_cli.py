@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qsim.cli import main, parse_bool_expr
+from qsim.cli import _top_entries, main, parse_bool_expr
 from qsim.oracles import TruthTable
 
 
@@ -209,3 +212,18 @@ def test_missing_table_is_one_error_line_and_exit_2(capsys, tmp_path):
     code, out, err = run_failing(capsys, "dj", "--table", missing, "--json")
     assert (code, out) == (2, "")
     assert len(err) == 1 and err[0].startswith("error: ") and missing in err[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 1e-33, 0.25, 0.25 + 1e-13, 0.25 - 4e-13, 0.1, 0.1 + 6e-13]), max_size=24),
+    st.integers(-2, 30),
+)
+@example([0.25 - 4e-13, 0.25], 1)  # the first rounds up to a tie and wins on its bitstring
+def test_top_entries_equal_rounding_every_entry(values, top):
+    entries = {format(i, "05b"): v for i, v in enumerate(values)}
+    rounded = sorted(((k, round(v, 12) + 0.0) for k, v in entries.items()), key=lambda kv: (-kv[1], kv[0]))
+    expected = [{"bitstring": k, "value": v} for k, v in rounded[:top]]
+    # Distribution itself checks that exact entries sum to 1; the report does not need that.
+    dist = SimpleNamespace(kind="exact", entries=entries)
+    assert _top_entries(dist, top, None, 0) == expected
