@@ -60,18 +60,24 @@ def reference_measure(s: StateVector, qubits, rng: np.random.Generator) -> Measu
     )
 
 
-def reference_counting_law(marked, n: int, m: int) -> np.ndarray:
-    """Counting-register law from the dense Grover step and repeated squaring.
-
-    The step (2|s><s| - I) O is a 2**n x 2**n matrix; counting-register value
-    k carries U**k on the uniform work state, built from the powers U**(2**j)
-    for the set bits of k, and the inverse transform is ``np.fft.fft``.
-    """
-    size, count = 1 << n, 1 << m
+def reference_grover_step(marked, n: int) -> np.ndarray:
+    """The counting step (2|s><s| - I) O as a dense 2**n x 2**n matrix."""
+    size = 1 << n
     signs = np.ones(size)
     for bits in marked:
         signs[int(bits, 2)] = -1.0
-    power = (2.0 / size * np.ones((size, size)) - np.eye(size)) * signs[None, :]
+    return (2.0 / size * np.ones((size, size)) - np.eye(size)) * signs[None, :]
+
+
+def reference_counting_law(marked, n: int, m: int) -> np.ndarray:
+    """Counting-register law from the dense Grover step and repeated squaring.
+
+    Counting-register value k carries U**k on the uniform work state, built
+    from the powers U**(2**j) for the set bits of k, and the inverse transform
+    is ``np.fft.fft``.
+    """
+    size, count = 1 << n, 1 << m
+    power = reference_grover_step(marked, n)
 
     rows = np.full((count, size), 1.0 / np.sqrt(count * size), dtype=complex)
     has_bit = (np.arange(count)[:, None] >> np.arange(m)) & 1 == 1

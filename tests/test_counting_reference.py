@@ -1,8 +1,8 @@
 """Matrix-free quantum counting against the dense reference and the closed form.
 
 ``quantum_counting`` applies the Grover step G**(2**j) in place for power j,
-in closed form (a rotation on span{|good>, |bad>}). The reference in ``slow_reference`` builds the 2**n x 2**n step and squares
-it; both must give the two-eigenphase law of Brassard, Hoyer, Mosca and Tapp:
+in closed form (a rotation on span{|good>, |bad>}). The reference in
+``slow_reference`` builds the 2**n x 2**n step and squares it; both must give the two-eigenphase law of Brassard, Hoyer, Mosca and Tapp:
 1/2 sum_+- |2^-m sum_k e^{2 pi i k (+-theta/2pi - j/2^m)}|^2, with
 theta = 2 asin(sqrt(M/N)).
 """
@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim import algorithms as alg
+from qsim.algorithms.qpe import _grover_step
 
-from slow_reference import reference_counting_law
+from slow_reference import reference_counting_law, reference_grover_step
 
 LAW_ATOL = 1e-10
 
@@ -52,7 +53,15 @@ def counting_cases(draw, max_n, min_m, max_m):
     return n, m, [format(x, f"0{n}b") for x in sorted(indices)], draw(st.integers(0, 2**32 - 1))
 
 
-def check_counting(case):
+@settings(max_examples=190, deadline=None)
+@given(
+    st.one_of(
+        counting_cases(max_n=7, min_m=1, max_m=5),
+        # More counting than work qubits: powers up to G**128 on at most 8 states.
+        counting_cases(max_n=3, min_m=4, max_m=8),
+    )
+)
+def test_counting_matches_dense_reference_and_closed_form(case):
     n, m, marked, seed = case
     res = alg.quantum_counting(marked, n, m=m, seed=seed)
     law = counting_law(res, m)
@@ -62,16 +71,16 @@ def check_counting(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(counting_cases(max_n=7, min_m=1, max_m=5))
-def test_counting_matches_dense_reference_and_closed_form(case):
-    check_counting(case)
-
-
-@settings(max_examples=40, deadline=None)
-@given(counting_cases(max_n=3, min_m=4, max_m=8))
-def test_counting_with_more_counting_than_work_qubits(case):
-    # Powers up to G**128 on a work register of at most 8 states.
-    check_counting(case)
+@given(counting_cases(max_n=5, min_m=1, max_m=1), st.integers(0, 70))
+def test_grover_step_power_equals_dense_matrix_power(case, k):
+    # Counting only feeds the step states in span{|good>, |bad>}; a general
+    # batch also checks the rotation's direction and the (-1)**k on the rest.
+    n, _, marked, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 2, 1 << n)) + 1j * rng.normal(size=(3, 2, 1 << n))
+    expected = x @ np.linalg.matrix_power(reference_grover_step(marked, n), k).T
+    _grover_step(n, marked)(x, k)
+    assert np.max(np.abs(x - expected)) <= LAW_ATOL
 
 
 def test_counting_n10_matches_dense_reference():
