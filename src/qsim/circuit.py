@@ -2,6 +2,10 @@
 
 Circuits are pure gate sequences; measurements, if declared, are terminal.
 Mid-circuit collapse belongs to algorithm drivers, which call qstate.measure.
+``simulate`` and ``unitary_of`` run a circuit through one fusion pass: runs of
+uncontrolled 1-qubit gates become one product per qubit, emitted as blocks of
+up to ``BLOCK_QUBITS`` adjacent qubits, and every kernel is chosen by matrix
+structure (``gates.apply_kernel``).
 """
 
 from __future__ import annotations
@@ -10,12 +14,13 @@ import os
 
 import numpy as np
 
-from .gates import Gate, GateApplication, apply_to_array, standard_gate
+from .gates import Gate, GateApplication, apply_kernel, classify, standard_gate
 from .qstate import Distribution, StateVector, basis_state, marginal_probs
 
 DEFAULT_MAX_QUBITS = 20
 UNITARY_MAX_QUBITS = 12
 MAX_SHOTS = 10**7
+BLOCK_QUBITS = 4  # widest fused block: a 16x16 matmul per pass over the amplitudes
 
 _X = standard_gate("X")
 _H = standard_gate("H")
@@ -111,16 +116,74 @@ class Circuit:
         return out
 
 
+def _flush(pending: dict):
+    """Kernels for the pending 1-qubit products, which then are cleared.
+
+    A diagonal or permutation product gets its own kernel; dense products on
+    adjacent qubits are kron'd into blocks of up to BLOCK_QUBITS qubits.
+    """
+    run = []
+    for q in sorted(pending):
+        matrix = pending[q]
+        kind = classify(matrix)
+        if kind != "dense":
+            yield kind, matrix, (q,), ()
+            continue
+        if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
+            yield _block(run, pending)
+            run = []
+        run.append(q)
+    if run:
+        yield _block(run, pending)
+    pending.clear()
+
+
+def _block(qubits, pending):
+    """One dense kernel for adjacent qubits; qubits[0] is the block index's top bit."""
+    matrix = pending[qubits[0]]
+    for q in qubits[1:]:
+        dim = 2 * len(matrix)
+        matrix = (matrix[:, None, :, None] * pending[q][None, :, None, :]).reshape(dim, dim)
+    return "dense", matrix, tuple(qubits), ()
+
+
+def _kernels(ops):
+    """The fusion pass: ``(kind, matrix, targets, controls)`` kernel calls equal to ``ops``.
+
+    Each qubit's uncontrolled 1-qubit gates are multiplied into one pending
+    product. An op touching a qubit with a pending product first emits every
+    pending product; an op on other qubits commutes with them. The fused
+    matrices are plain arrays, so no unitarity check runs on them.
+    """
+    pending = {}
+    for op in ops:
+        if len(op.targets) == 1 and not op.controls:
+            q = op.targets[0]
+            # an elementwise product, not BLAS: no fused multiply-add leaves a
+            # residue where H.X.H cancels to the exactly diagonal Z
+            g = op.gate.matrix
+            pending[q] = (g[:, :, None] * pending[q][None, :, :]).sum(axis=1) if q in pending else g
+            continue
+        if any(q in pending for q in op.qubits()):
+            yield from _flush(pending)
+        yield op.gate._kind, op.gate.matrix, op.targets, op.controls
+    yield from _flush(pending)
+
+
+def _run(amps: np.ndarray, c: Circuit) -> None:
+    for kernel in _kernels(c.ops):
+        apply_kernel(amps, c.num_qubits, *kernel)
+
+
 def simulate(c: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Left-to-right application of the ops; the measurement list is ignored."""
+    """The circuit's ops applied to ``initial`` (default |0...0>); measurements are ignored."""
     require_qubits(c.num_qubits)
     if initial is None:
         initial = basis_state(c.num_qubits, 0)
     if initial.num_qubits != c.num_qubits:
         raise ValueError("initial state size does not match the circuit")
     amps = initial.amps.copy()
-    for op in c.ops:
-        apply_to_array(amps, c.num_qubits, op)
+    _run(amps, c)
     return StateVector(c.num_qubits, amps)
 
 
@@ -152,8 +215,7 @@ def unitary_of(c: Circuit) -> np.ndarray:
         )
     dim = 1 << c.num_qubits
     matrix = np.eye(dim, dtype=complex)
-    for op in c.ops:
-        apply_to_array(matrix, c.num_qubits, op)
+    _run(matrix, c)
     return matrix
 
 

@@ -1,12 +1,18 @@
-"""Gate matrices and strided controlled application to state vectors.
+"""Gate matrices and their in-place application to state vectors, by structure.
 
 Controls carry a polarity: ``(qubit, 1)`` activates on |1> (filled circle),
 ``(qubit, 0)`` on |0> (empty circle). Multi-target gates map bit j of the
 gate's own index space to ``targets[j]``, most significant first.
+
+Every matrix is classified once as diagonal, a 0/1 permutation or dense, and
+``apply_kernel`` picks the kernel from that kind: a diagonal multiplies only
+its non-unit slices, a permutation exchanges slices, a dense 1-qubit matrix
+updates the two half-views, and a dense k-qubit matrix is one matmul.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +22,19 @@ from .qstate import StateVector, _subspace
 UNITARY_ATOL = 1e-10
 
 _SQ2 = 1.0 / np.sqrt(2.0)
+# multiply-adds per product of a block tile: a product OpenBLAS runs on
+# several threads can stall 8 ms waking them (seen at 16x16 @ 16x256 and up
+# on a 2-vCPU host), while a batch of small products runs on the caller's thread
+_GEMM_SIZE = 1 << 14
+
+
+def classify(matrix: np.ndarray) -> str:
+    """Kernel kind of a unitary: "diag", "perm" (every entry exactly 0 or 1) or "dense"."""
+    if np.count_nonzero(matrix) == np.count_nonzero(matrix.diagonal()):
+        return "diag"
+    if np.count_nonzero((matrix == 0) | (matrix == 1)) == matrix.size:
+        return "perm"
+    return "dense"
 
 
 def is_unitary(m, tol: float = UNITARY_ATOL) -> bool:
@@ -43,6 +62,7 @@ class Gate:
             raise ValueError(f"gate {self.name!r} is not unitary")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_kind", classify(matrix))
 
     @property
     def arity(self) -> int:
@@ -132,19 +152,66 @@ def dagger(g: Gate) -> Gate:
     return Gate(g.name + "dg", g.matrix.conj().T)
 
 
-def apply_to_array(amps: np.ndarray, num_qubits: int, app: GateApplication) -> None:
-    """In-place strided application of ``app`` to ``amps``.
+def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, controls=()) -> None:
+    """In-place application of ``matrix``, of structure ``kind``, to ``targets`` under ``controls``.
 
     ``amps`` may carry extra trailing axes (e.g. a batch of columns); only the
     leading ``num_qubits`` binary axes are touched. Amplitudes whose control
     bits do not match are left bit-identical.
     """
+    k = len(targets)
+    lo = targets[0]
+    if kind == "dense" and k > 1 and not controls and tuple(targets) == tuple(range(lo, lo + k)):
+        # adjacent targets: the (before, block, after) view needs no moveaxis copy;
+        # its columns are cut into tiles so that every product stays small
+        view = amps.reshape(1 << lo, 1 << k, -1)
+        cols = math.gcd(view.shape[2], _GEMM_SIZE >> 2 * k)
+        tiles = view.reshape(1 << lo, 1 << k, -1, cols).swapaxes(1, 2)
+        tiles[...] = np.matmul(matrix, tiles)
+        return
+    # the extra unit axis keeps every slice an array, even one amplitude
+    moved = _subspace(amps[..., None], num_qubits, targets, controls)
+    slices = list(np.ndindex(*[2] * k))  # slice i of moved holds gate index i
+    if kind == "diag":
+        for i, d in enumerate(np.diagonal(matrix)):
+            if d != 1:
+                moved[slices[i]] *= d
+    elif kind == "perm":
+        source = np.argmax(matrix, axis=1)  # row i takes the slice at source[i]
+        done = set()
+        for start in range(1 << k):
+            if start in done or source[start] == start:
+                continue
+            cycle = [start]
+            while source[cycle[-1]] != start:
+                cycle.append(int(source[cycle[-1]]))
+            done.update(cycle)
+            first = moved[slices[start]].copy()
+            for dst, src in zip(cycle, cycle[1:]):
+                moved[slices[dst]] = moved[slices[src]]
+            moved[slices[cycle[-1]]] = first
+    elif k == 1:
+        (m00, m01), (m10, m11) = matrix
+        a, b = moved[slices[0]], moved[slices[1]]
+        # m00*a + m01*b and m10*a + m11*b, with the products in that order
+        new_a = a * m00
+        term = b * m01
+        new_a += term
+        np.multiply(a, m10, out=term)
+        b *= m11
+        b += term
+        a[...] = new_a
+    else:
+        flat = moved.reshape(1 << k, -1)
+        moved[...] = (matrix @ flat).reshape(moved.shape)
+
+
+def apply_to_array(amps: np.ndarray, num_qubits: int, app: GateApplication) -> None:
+    """In-place application of ``app`` to ``amps`` by the kernel of its gate's kind."""
     for q in app.qubits():
         if q < 0 or q >= num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-    moved = _subspace(amps, num_qubits, app.targets, app.controls)
-    flat = moved.reshape(1 << len(app.targets), -1)
-    moved[...] = (app.gate.matrix @ flat).reshape(moved.shape)
+    apply_kernel(amps, num_qubits, app.gate._kind, app.gate.matrix, app.targets, app.controls)
 
 
 def apply(s, app: GateApplication):

@@ -1,14 +1,32 @@
-"""Index-arithmetic reference kernels, kept only as test oracles.
+"""Reference kernels, kept only as test oracles.
 
-These are the original whole-vector implementations of ``apply_permutation``
-and ``measure``: every basis index is decoded bit by bit into a 2**n int64
-array. They are slow but easy to check by hand; the library's strided
-versions must agree with them exactly.
+``reference_apply_permutation`` and ``reference_measure`` are the original
+whole-vector implementations: every basis index is decoded bit by bit into a
+2**n int64 array. They are slow but easy to check by hand; the library's
+strided versions must agree with them exactly. ``reference_apply_to_array``
+is the one-matmul gate kernel that ran every gate before kernels were chosen
+by gate structure and fused; ``reference_run`` applies a circuit's ops with
+it one at a time.
 """
 
 import numpy as np
 
-from qsim.qstate import MeasurementRecord, StateVector, marginal_probs
+from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
+
+
+def reference_apply_to_array(amps: np.ndarray, num_qubits: int, app) -> None:
+    """In-place: the gate matrix times the control-selected block, targets moved to the front."""
+    moved = _subspace(amps, num_qubits, app.targets, app.controls)
+    flat = moved.reshape(1 << len(app.targets), -1)
+    moved[...] = (app.gate.matrix @ flat).reshape(moved.shape)
+
+
+def reference_run(amps: np.ndarray, circuit) -> np.ndarray:
+    """A copy of ``amps`` (trailing batch axes allowed) after the circuit's ops, op by op."""
+    out = np.array(amps, dtype=complex)
+    for op in circuit.ops:
+        reference_apply_to_array(out, circuit.num_qubits, op)
+    return out
 
 
 def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=()) -> StateVector:
