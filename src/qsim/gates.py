@@ -7,7 +7,7 @@ gate's own index space to ``targets[j]``, most significant first.
 Every matrix is classified once as diagonal, a 0/1 permutation or dense, and
 ``apply_kernel`` picks the kernel from that kind: a diagonal multiplies only
 its non-unit slices, a permutation exchanges slices, a dense 1-qubit matrix
-updates the two half-views, and a dense k-qubit matrix is one matmul.
+updates the two half-views, and a dense k-qubit matrix is one (batched) matmul.
 """
 
 from __future__ import annotations
@@ -171,12 +171,12 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, 
         return
     # the extra unit axis keeps every slice an array, even one amplitude
     moved = _subspace(amps[..., None], num_qubits, targets, controls)
-    slices = list(np.ndindex(*[2] * k))  # slice i of moved holds gate index i
     if kind == "diag":
-        for i, d in enumerate(np.diagonal(matrix)):
+        for index, d in zip(np.ndindex(*[2] * k), np.diagonal(matrix)):
             if d != 1:
-                moved[slices[i]] *= d
+                moved[index] *= d
     elif kind == "perm":
+        slices = list(np.ndindex(*[2] * k))  # slice i of moved holds gate index i
         source = np.argmax(matrix, axis=1)  # row i takes the slice at source[i]
         done = set()
         for start in range(1 << k):
@@ -192,7 +192,7 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, 
             moved[slices[cycle[-1]]] = first
     elif k == 1:
         (m00, m01), (m10, m11) = matrix
-        a, b = moved[slices[0]], moved[slices[1]]
+        a, b = moved[0], moved[1]
         # m00*a + m01*b and m10*a + m11*b, with the products in that order
         new_a = a * m00
         term = b * m01
