@@ -7,6 +7,7 @@ and unitaries as applying the ops one at a time with the reference kernel.
 
 import numpy as np
 import pytest
+import qsim.gates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,16 +86,17 @@ def test_uncontrolled_amplitudes_stay_bit_identical(rng):
 
 
 def _one_qubit_gate(draw):
-    choice = draw(st.integers(0, len(_NAMED) + 3))
-    if choice < len(_NAMED):
-        return standard_gate(_NAMED[choice])
-    angle = draw(st.floats(-np.pi, np.pi, allow_nan=False))
-    return [
-        lambda: u_gate(angle, 0.5 * angle + 0.1, -angle),
-        lambda: rk_phase(draw(st.integers(0, 8))),
-        lambda: rz(angle),
-        lambda: rx(angle),
-    ][choice - len(_NAMED)]()
+    name = draw(st.sampled_from(_NAMED + ["U", "Rk", "Rz", "Rx"]))
+    angle = draw(st.floats(-np.pi, np.pi))
+    if name == "U":
+        return u_gate(angle, 0.5 * angle + 0.1, -angle)
+    if name == "Rk":
+        return rk_phase(draw(st.integers(0, 8)))
+    if name == "Rz":
+        return rz(angle)
+    if name == "Rx":
+        return rx(angle)
+    return standard_gate(name)
 
 
 @st.composite
@@ -136,8 +138,10 @@ def test_fused_unitary_matches_op_by_op_reference(c):
 def test_single_qubit_products_take_the_cheaper_kernels():
     c = Circuit(3).h(1).x(1).h(1).x(2).h(2).h(2).h(0).append(standard_gate("X"), (0,), ((1, 1),))
     kernels = [(kind, targets) for kind, _, targets, _ in _kernels(c.ops)]
-    # H.X.H on qubit 1 is Z; H.H on qubit 2 leaves a permutation times a rounding of 1
+    # H.X.H on qubit 1 is exactly Z; H.H.X on qubit 2 is X times 2*(1/sqrt 2)**2,
+    # which rounds below 1, so that product stays dense
     assert ("diag", (1,)) in kernels
+    assert ("dense", (2,)) in kernels
     assert ("dense", (0,)) in kernels
     assert kernels[-1] == ("perm", (0,))
     psi = random_state(3, np.random.default_rng(5))
@@ -166,8 +170,6 @@ def test_one_grover_iteration_compiles_to_few_kernels(marked):
 
 
 def test_fused_blocks_skip_the_unitarity_check(monkeypatch):
-    import qsim.gates
-
     c = Circuit(8)
     for q in range(8):
         c.h(q)
