@@ -6,13 +6,8 @@ import numpy as np
 
 from ..circuit import Circuit, simulate
 from ..oracles import TruthTable, synth_bit_oracle, synth_phase_oracle
-from ..qstate import basis_state, kron
+from ..qstate import basis_state
 from .common import AlgorithmResult, readout
-
-
-def _minus_input(n: int):
-    """|0...0> on the first n qubits tensor |1> on the work qubit."""
-    return kron(basis_state(n, 0), basis_state(1, 1))
 
 
 def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
@@ -37,7 +32,7 @@ def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
 def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> AlgorithmResult:
     """Classify a 1-bit function as constant or balanced with one oracle query."""
     c = deutsch_circuit(f, economical)
-    initial = basis_state(1, 0) if economical else _minus_input(1)
+    initial = basis_state(1, 0) if economical else basis_state(2, 1)
     final = simulate(c, initial)
     dist, outcome = readout(final, [0], np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" else "balanced"
@@ -59,7 +54,7 @@ def dj_circuit(oracle: Circuit, n: int) -> Circuit:
 def deutsch_jozsa(oracle: Circuit, n: int, seed: int = 0) -> AlgorithmResult:
     """Constant iff the first register reads all zeros; promise is not checked."""
     c = dj_circuit(oracle, n)
-    final = simulate(c, _minus_input(n))
+    final = simulate(c, basis_state(n + 1, 1))
     dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" * n else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
@@ -116,7 +111,7 @@ def bernstein_vazirani(
 ) -> AlgorithmResult:
     """Read the hidden linear string in a single query."""
     c = bv_circuit(oracle, n, economical)
-    initial = basis_state(n, 0) if economical else _minus_input(n)
+    initial = basis_state(n, 0) if economical else basis_state(n + 1, 1)
     final = simulate(c, initial)
     dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     return AlgorithmResult(answer=outcome, exact_distribution=dist)

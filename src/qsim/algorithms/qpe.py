@@ -1,76 +1,52 @@
 """Phase estimation and its applications: order finding, discrete logarithm,
 and quantum counting.
 
-Controlled powers U**(2**j) come from repeated squaring of a permutation
-mapping or a gate matrix, or, for a step given as a callable (the Grover
-iterate of counting), from the callable applying U**k in place for k = 2**j.
+Each driver runs one circuit: for every operator U, the controlled powers
+C(U**(2**j)) as circuit ops, each built with ``power(2)`` from the one before,
+then each counting register's inverse transform. U is any circuit operator:
+a Gate, a PermutationOracle, or counting's Grover step, which applies U**k in
+closed form.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
-from ..gates import Gate, GateApplication, apply_to_array
 from ..numtheory import mod_pow, mult_order
-from ..oracles import PermutationOracle, _permute_array, modmul_oracle
+from ..oracles import modmul_oracle
 from ..qstate import StateVector, basis_state, kron
 from .common import AlgorithmResult, readout
 from .qft import inverse_qft_registers
 from .shor import order_finding_readout, shor_registers
 
 
-def _controlled_power_layer(state: StateVector, us, m: int) -> StateVector:
-    """For the i-th operator U of ``us``, apply C(U^(2^j)) with control i*m+m-1-j, j < m.
+def _qpe_state(us, eigenstate: StateVector, m: int, transform: bool = True) -> StateVector:
+    """One uniform m-qubit counting register per operator, then one circuit on the whole state.
 
-    U acts on the w-qubit work register after the len(us) counting registers.
-    A PermutationOracle or Gate is squared for each power; a step callable
-    ``u(x, k)`` applies U^k in place to the control-selected ``(..., 2**w)``
-    view x. One copy of the amplitudes is updated.
+    The circuit applies C(U^(2^j)) with control i*m+m-1-j, j < m, for the i-th
+    operator U of ``us``, on the work register after the counting registers,
+    and then, with ``transform``, each counting register's inverse transform.
     """
-    n = state.num_qubits
-    work = tuple(range(len(us) * m, n))
-    amps = state.amps.copy()
-    for i, u in enumerate(us):
-        controls = [i * m + m - 1 - j for j in range(m)]
-        if isinstance(u, PermutationOracle):
-            mapping = u.mapping
-            for j, control in enumerate(controls):
-                if j:
-                    mapping = mapping[mapping]
-                _permute_array(amps, n, mapping, work, ((control, 1),))
-        elif isinstance(u, Gate):
-            matrix = u.matrix
-            for j, control in enumerate(controls):
-                if j:
-                    matrix = matrix @ matrix
-                gate = Gate(f"{u.name}^{1 << j}", matrix)
-                apply_to_array(amps, n, GateApplication(gate, work, ((control, 1),)))
-        elif callable(u):
-            for j, control in enumerate(controls):
-                u(amps.reshape(1 << control, 2, -1, 1 << len(work))[:, 1], 1 << j)
-        else:
-            raise TypeError("controlled powers need a PermutationOracle, a Gate or a step callable")
-    return StateVector(n, amps)
-
-
-def _kickback_state(us, eigenstate: StateVector, m: int) -> StateVector:
-    """One uniform m-qubit counting register per operator, then the controlled powers."""
     width = len(us) * m
-    require_qubits(width + eigenstate.num_qubits)
-    c = Circuit(width)
+    n = width + eigenstate.num_qubits
+    require_qubits(n)
+    layer = Circuit(width)
     for q in range(width):
-        c.h(q)
-    state = kron(simulate(c, basis_state(width, 0)), eigenstate)
-    return _controlled_power_layer(state, us, m)
-
-
-def _qpe_state(us, eigenstate: StateVector, m: int) -> StateVector:
-    """Counting registers through the kickback cascade and inverse transform."""
-    state = _kickback_state(us, eigenstate, m)
-    return simulate(inverse_qft_registers(m, state.num_qubits, range(0, len(us) * m, m)), state)
+        layer.h(q)
+    c = Circuit(n)
+    work = tuple(range(width, n))
+    for i, u in enumerate(us):
+        for j in range(m):
+            if j:
+                u = u.power(2)
+            c.append(u, work, ((i * m + m - 1 - j, 1),))
+    if transform:
+        c.extend(inverse_qft_registers(m, n, range(0, width, m)))
+    return simulate(c, kron(simulate(layer), eigenstate))
 
 
 def qpe(u, eigenstate: StateVector, m: int, seed: int = 0) -> AlgorithmResult:
@@ -92,9 +68,8 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     _, m, n = shor_registers(modulus)
-    require_qubits(m + n)  # before the work-register oracle, too
     rng = np.random.default_rng(seed)
-    state = _kickback_state((modmul_oracle(a, modulus),), basis_state(n, 1), m)
+    state = _qpe_state((modmul_oracle(a, modulus),), basis_state(n, 1), m, transform=False)
     return order_finding_readout(state, a, modulus, rng)
 
 
@@ -108,7 +83,6 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
         raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
-    require_qubits(2 * m + n)  # before the work-register oracles, too
     rng = np.random.default_rng(seed)
     state = _qpe_state((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), basis_state(n, 1), m)
     dist, joint = readout(state, range(2 * m), rng)
@@ -120,37 +94,53 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     return AlgorithmResult(answer=answer, exact_distribution=dist, success=s is not None)
 
 
-def _grover_step(n: int, marked):
-    """The counting step G = (2|s><s| - I) O as ``step(x, k)``: x <- G^k x in place along the last axis.
+class _GroverStep:
+    """The counting step G = (2|s><s| - I) O, raised to the power k, as a circuit operator.
 
-    This is the iterate whose eigenphases on the uniform state are +-theta.
-    ``grover.diffusion_ops`` reflects with the opposite sign; under a control
-    that -1 is a relative phase and would move the estimate from M to N - M.
-    G^k costs one pass for every k: G rotates span{|good>, |bad>}, the uniform
-    superpositions of the M marked and the N - M unmarked strings, by
-    theta = 2 asin(sqrt(M/N)); it leaves the rest of the marked block alone and
-    negates the rest of the unmarked block.
+    Its ``"call"`` kernel applies G^k in place along the last axis of the
+    control-selected view. This is the iterate whose eigenphases on the
+    uniform state are +-theta. ``grover.diffusion_ops`` reflects with the
+    opposite sign; under a control that -1 is a relative phase and would move
+    the estimate from M to N - M. G^k costs one pass for every k: G rotates
+    span{|good>, |bad>}, the uniform superpositions of the M marked and the
+    N - M unmarked strings, by theta = 2 asin(sqrt(M/N)); it leaves the rest of
+    the marked block alone and negates the rest of the unmarked block.
     """
-    size = 1 << n
-    good = np.zeros(size)
-    for bits in marked:
-        good[int(bits, 2)] = 1.0
-    count = len(marked)
-    theta = 2.0 * math.asin(math.sqrt(count / size))
-    # Rows: the unit vectors |good> and |bad> (a zero row when that block is empty).
-    basis = np.stack([good / math.sqrt(max(count, 1)), (1.0 - good) / math.sqrt(max(size - count, 1))])
-    flip = 2.0 * good - 1.0
 
-    def step(x: np.ndarray, k: int) -> None:
-        coeffs = x.reshape(-1, size) @ basis.T
-        cos, sin = math.cos(k * theta), math.sin(k * theta)
+    _kind = "call"
+
+    def __init__(self, n: int, marked):
+        size = 1 << n
+        good = np.zeros(size)
+        for bits in marked:
+            good[int(bits, 2)] = 1.0
+        count = len(marked)
+        self.arity, self.k = n, 1
+        self.theta = 2.0 * math.asin(math.sqrt(count / size))
+        # Rows: the unit vectors |good> and |bad> (a zero row when that block is empty).
+        self.basis = np.stack([good / math.sqrt(max(count, 1)), (1.0 - good) / math.sqrt(max(size - count, 1))])
+        self.flip = 2.0 * good - 1.0
+
+    @property
+    def name(self) -> str:
+        return f"G^{self.k}"
+
+    # a property, not an attribute: each copy made by ``power`` hands the kernel itself
+    _operand = property(lambda self: self)
+
+    def power(self, e: int) -> "_GroverStep":
+        out = copy.copy(self)
+        out.k = self.k * e
+        return out
+
+    def __call__(self, x: np.ndarray) -> None:
+        coeffs = x.reshape(-1, len(self.flip)) @ self.basis.T
+        cos, sin = math.cos(self.k * self.theta), math.sin(self.k * self.theta)
         turned = coeffs @ np.array([[cos, -sin], [sin, cos]])
-        if k % 2:
-            x *= flip
+        if self.k % 2:
+            x *= self.flip
             coeffs[:, 1] *= -1.0
-        x += ((turned - coeffs) @ basis).reshape(x.shape)
-
-    return step
+        x += ((turned - coeffs) @ self.basis).reshape(x.shape)
 
 
 def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> AlgorithmResult:
@@ -162,7 +152,7 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
         if len(bits) != n or set(bits) - {"0", "1"}:
             raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
     require_qubits(m + n)
-    step = _grover_step(n, marked)
+    step = _GroverStep(n, marked)
 
     big_n = 1 << n
     uniform = StateVector(n, np.full(big_n, 1.0 / math.sqrt(big_n), dtype=complex))

@@ -22,7 +22,7 @@ from ..oracles import (
     modexp_oracle,
     smallest_power_of_two_above,
 )
-from ..qstate import Distribution, StateVector, basis_state, measure
+from ..qstate import Distribution, StateVector, measure
 from .common import AlgorithmResult, readout
 from .qft import inverse_qft_circuit, inverse_qft_registers
 
@@ -205,9 +205,8 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     c = Circuit(width)
     for q in range(2 * m):
         c.h(q)
-    state = simulate(c, basis_state(width, 0))
-    state = apply_permutation(state, oracle)
-    record = measure(state, range(2 * m, width), rng)
+    c.append(oracle, range(width))
+    record = measure(simulate(c), range(2 * m, width), rng)
 
     state = simulate(inverse_qft_registers(m, width, (0, m)), record.post_state)
 

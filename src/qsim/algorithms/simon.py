@@ -6,27 +6,22 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..gf2 import BitMatrix, InsufficientRankError, rank, simon_postprocess
-from ..oracles import PermutationOracle, apply_permutation
+from ..oracles import PermutationOracle
 from ..qstate import StateVector, basis_state, measure
 from .common import AlgorithmResult, readout
 
 
 def _post_oracle_state(oracle, n: int) -> StateVector:
-    """Uniform first register through the oracle, second register |0...0>."""
+    """Uniform first register through the oracle, second register |0...0>: one circuit."""
     require_qubits(2 * n)
-    state = basis_state(2 * n, 0)
+    if isinstance(oracle, PermutationOracle):
+        oracle = Circuit(oracle.total_qubits).append(oracle, range(oracle.total_qubits))
+    if oracle.num_qubits != 2 * n:
+        raise ValueError("oracle width must be 2n qubits")
     c = Circuit(2 * n)
     for q in range(n):
         c.h(q)
-    if isinstance(oracle, PermutationOracle):
-        if oracle.total_qubits != 2 * n:
-            raise ValueError("oracle width must be 2n qubits")
-        state = simulate(c, state)
-        return apply_permutation(state, oracle)
-    if oracle.num_qubits != 2 * n:
-        raise ValueError("oracle width must be 2n qubits")
-    c.extend(oracle)
-    return simulate(c, state)
+    return simulate(c.extend(oracle), basis_state(2 * n, 0))
 
 
 def _hadamard_first_register(state: StateVector, n: int) -> StateVector:

@@ -1,10 +1,12 @@
 """Circuit IR, exact simulation, shot sampling, and unitary extraction.
 
-Circuits are pure gate sequences; measurements, if declared, are terminal.
-Mid-circuit collapse belongs to algorithm drivers, which call qstate.measure.
-``simulate`` and ``unitary_of`` run a circuit through one fusion pass: runs of
-uncontrolled 1-qubit gates become one product per qubit, emitted as blocks of
-up to ``BLOCK_QUBITS`` adjacent qubits, and every kernel is chosen by matrix
+Circuits are unitary op sequences; measurements, if declared, are terminal.
+An op binds an operator to its qubits: a gate, a permutation oracle or a
+step that applies itself in place (see ``gates``). Mid-circuit collapse
+belongs to algorithm drivers, which call qstate.measure. ``simulate`` and
+``unitary_of`` run a circuit through one fusion pass: runs of uncontrolled
+1-qubit gates become one product per qubit, emitted as blocks of up to
+``BLOCK_QUBITS`` adjacent qubits, and every kernel is chosen by operator
 structure (``gates.apply_kernel``).
 """
 
@@ -43,7 +45,7 @@ def require_qubits(n: int) -> None:
 
 
 class Circuit:
-    """Ordered gate applications on ``num_qubits`` wires."""
+    """Ordered operator applications on ``num_qubits`` wires."""
 
     def __init__(self, num_qubits: int, ops=None, measurements=None):
         if num_qubits < 1:
@@ -104,14 +106,14 @@ class Circuit:
         return self
 
     def inverse_ops(self) -> list:
-        """Gate applications of the dagger circuit."""
+        """Applications of the dagger circuit: daggered gates and inverted oracle mappings."""
         out = []
         for op in reversed(self.ops):
-            matrix = op.gate.matrix.conj().T
-            if np.allclose(matrix, op.gate.matrix, atol=1e-15):
-                gate = op.gate
-            else:
-                gate = Gate(op.gate.name + "dg", matrix)
+            gate = op.gate
+            if gate._kind == "map":
+                gate = type(gate)(gate.arity, np.argsort(gate.mapping))
+            elif not np.array_equal(gate.matrix.conj().T, gate.matrix):
+                gate = Gate(gate.name + "dg", gate.matrix.conj().T)
             out.append(GateApplication(gate, op.targets, op.controls))
         return out
 
@@ -148,16 +150,17 @@ def _block(qubits, pending):
 
 
 def _kernels(ops):
-    """The fusion pass: ``(kind, matrix, targets, controls)`` kernel calls equal to ``ops``.
+    """The fusion pass: ``(kind, operand, targets, controls)`` kernel calls equal to ``ops``.
 
     Each qubit's uncontrolled 1-qubit gates are multiplied into one pending
     product. An op touching a qubit with a pending product first emits every
     pending product; an op on other qubits commutes with them. The fused
-    matrices are plain arrays, so no unitarity check runs on them.
+    matrices are plain arrays, so no unitarity check runs on them. Oracles and
+    steps are never fused.
     """
     pending = {}
     for op in ops:
-        if len(op.targets) == 1 and not op.controls:
+        if isinstance(op.gate, Gate) and len(op.targets) == 1 and not op.controls:
             q = op.targets[0]
             # an elementwise product, not BLAS: no fused multiply-add leaves a
             # residue where H.X.H cancels to the exactly diagonal Z
@@ -166,7 +169,7 @@ def _kernels(ops):
             continue
         if any(q in pending for q in op.qubits()):
             yield from _flush(pending)
-        yield op.gate._kind, op.gate.matrix, op.targets, op.controls
+        yield op.gate._kind, op.gate._operand, op.targets, op.controls
     yield from _flush(pending)
 
 

@@ -1,13 +1,16 @@
-"""Gate matrices and their in-place application to state vectors, by structure.
+"""Gate matrices, circuit operators, and their in-place application to state vectors.
 
 Controls carry a polarity: ``(qubit, 1)`` activates on |1> (filled circle),
 ``(qubit, 0)`` on |0> (empty circle). Multi-target gates map bit j of the
 gate's own index space to ``targets[j]``, most significant first.
 
-Every matrix is classified once as diagonal, a 0/1 permutation or dense, and
-``apply_kernel`` picks the kernel from that kind: a diagonal multiplies only
-its non-unit slices, a permutation exchanges slices, a dense 1-qubit matrix
-updates the two half-views, and a dense k-qubit matrix is one (batched) matmul.
+An operator has ``arity``, ``name``, ``power(e)``, a kernel kind ``_kind`` and
+a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
+(its mapping, kind "map") or counting's step (itself, kind "call").
+``apply_kernel`` is the one code path that changes amplitudes. A matrix is
+classified once: a diagonal multiplies only its non-unit slices, a 0/1
+permutation exchanges slices, a dense 1-qubit matrix updates the two
+half-views, and a dense k-qubit matrix is a batch of small matmuls.
 """
 
 from __future__ import annotations
@@ -63,15 +66,19 @@ class Gate:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_kind", classify(matrix))
+        object.__setattr__(self, "_operand", matrix)
 
     @property
     def arity(self) -> int:
         return int(self.matrix.shape[0]).bit_length() - 1
 
+    def power(self, e: int) -> "Gate":
+        return Gate(f"{self.name}^{e}", np.linalg.matrix_power(self.matrix, e))
+
 
 @dataclass(frozen=True)
 class GateApplication:
-    """A gate bound to target qubits plus polarity-tagged control qubits."""
+    """An operator (gate, permutation oracle or step) bound to targets plus polarity-tagged controls."""
 
     gate: Gate
     targets: tuple
@@ -81,7 +88,8 @@ class GateApplication:
         targets = tuple(self.targets)
         controls = tuple((int(q), int(v)) for q, v in self.controls)
         if len(targets) != self.gate.arity:
-            raise ValueError(f"gate {self.gate.name!r} wants {self.gate.arity} targets")
+            name, arity = self.gate.name, self.gate.arity
+            raise ValueError(f"gate {name!r} wants {arity} targets ({name} width {arity})")
         touched = list(targets) + [q for q, _ in controls]
         if len(set(touched)) != len(touched):
             raise ValueError("target and control qubits must be pairwise disjoint")
@@ -152,8 +160,14 @@ def dagger(g: Gate) -> Gate:
     return Gate(g.name + "dg", g.matrix.conj().T)
 
 
-def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, controls=()) -> None:
-    """In-place application of ``matrix``, of structure ``kind``, to ``targets`` under ``controls``.
+def _tiles(block: np.ndarray, k: int) -> np.ndarray:
+    """``(..., 2**k, cols)`` column tiles of a ``(..., 2**k, columns)`` block, small enough for one thread."""
+    cols = math.gcd(block.shape[-1], max(_GEMM_SIZE >> 2 * k, 1))
+    return block.reshape(*block.shape[:-1], -1, cols).swapaxes(-3, -2)
+
+
+def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets, controls=()) -> None:
+    """In-place application of ``operand``, of kernel ``kind``, to ``targets`` under ``controls``.
 
     ``amps`` may carry extra trailing axes (e.g. a batch of columns); only the
     leading ``num_qubits`` binary axes are touched. Amplitudes whose control
@@ -162,22 +176,32 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, 
     k = len(targets)
     lo = targets[0]
     if kind == "dense" and k > 1 and not controls and tuple(targets) == tuple(range(lo, lo + k)):
-        # adjacent targets: the (before, block, after) view needs no moveaxis copy;
-        # its columns are cut into tiles so that every product stays small
-        view = amps.reshape(1 << lo, 1 << k, -1)
-        cols = math.gcd(view.shape[2], _GEMM_SIZE >> 2 * k)
-        tiles = view.reshape(1 << lo, 1 << k, -1, cols).swapaxes(1, 2)
-        tiles[...] = np.matmul(matrix, tiles)
+        # adjacent targets: the (before, block, after) view needs no moveaxis copy
+        tiles = _tiles(amps.reshape(1 << lo, 1 << k, -1), k)
+        tiles[...] = np.matmul(operand, tiles)
+        return
+    if kind == "call":
+        # a step acts on the trailing k qubits, which stay the trailing contiguous axis of its view
+        index = [slice(None)] * (num_qubits - k)
+        for q, v in controls:
+            index[q] = v
+        lead = amps.reshape([2] * (num_qubits - k) + [1 << k, -1])
+        operand(np.moveaxis(lead[(*index, ...)], -1, -2))
         return
     # the extra unit axis keeps every slice an array, even one amplitude
     moved = _subspace(amps[..., None], num_qubits, targets, controls)
-    if kind == "diag":
-        for index, d in zip(np.ndindex(*[2] * k), np.diagonal(matrix)):
+    if kind == "map":
+        block = moved.reshape(len(operand), -1)
+        out = np.empty_like(block)
+        out[operand] = block
+        moved[...] = out.reshape(moved.shape)
+    elif kind == "diag":
+        for index, d in zip(np.ndindex(*[2] * k), np.diagonal(operand)):
             if d != 1:
                 moved[index] *= d
     elif kind == "perm":
         slices = list(np.ndindex(*[2] * k))  # slice i of moved holds gate index i
-        source = np.argmax(matrix, axis=1)  # row i takes the slice at source[i]
+        source = np.argmax(operand, axis=1)  # row i takes the slice at source[i]
         done = set()
         for start in range(1 << k):
             if start in done or source[start] == start:
@@ -191,7 +215,7 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, 
                 moved[slices[dst]] = moved[slices[src]]
             moved[slices[cycle[-1]]] = first
     elif k == 1:
-        (m00, m01), (m10, m11) = matrix
+        (m00, m01), (m10, m11) = operand
         a, b = moved[0], moved[1]
         # m00*a + m01*b and m10*a + m11*b, with the products in that order
         new_a = a * m00
@@ -202,16 +226,16 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, matrix, targets, 
         b += term
         a[...] = new_a
     else:
-        flat = moved.reshape(1 << k, -1)
-        moved[...] = (matrix @ flat).reshape(moved.shape)
+        tiles = _tiles(moved.reshape(1 << k, -1), k)
+        moved[...] = np.matmul(operand, tiles).swapaxes(0, 1).reshape(moved.shape)
 
 
 def apply_to_array(amps: np.ndarray, num_qubits: int, app: GateApplication) -> None:
-    """In-place application of ``app`` to ``amps`` by the kernel of its gate's kind."""
+    """In-place application of ``app`` to ``amps`` by the kernel of its operator's kind."""
     for q in app.qubits():
         if q < 0 or q >= num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-    apply_kernel(amps, num_qubits, app.gate._kind, app.gate.matrix, app.targets, app.controls)
+    apply_kernel(amps, num_qubits, app.gate._kind, app.gate._operand, app.targets, app.controls)
 
 
 def apply(s, app: GateApplication):

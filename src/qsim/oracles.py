@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, require_qubits
+from .circuit import Circuit, require_qubits, simulate
+from .gates import GateApplication
 from .numtheory import mult_order
-from .qstate import StateVector, _subspace
+from .qstate import StateVector
 
 
 @dataclass(frozen=True)
@@ -136,10 +137,13 @@ class Xor(BooleanExpr):
 
 @dataclass(frozen=True)
 class PermutationOracle:
-    """Bijection on basis indices, applied by index remapping."""
+    """Bijection on basis indices: a circuit operator whose ``"map"`` kernel moves |x> to |mapping[x]>."""
 
     total_qubits: int
     mapping: np.ndarray
+
+    name = "oracle"
+    _kind = "map"
 
     def __post_init__(self):
         mapping = np.asarray(self.mapping, dtype=np.int64)
@@ -150,6 +154,11 @@ class PermutationOracle:
             raise ValueError("mapping is not a permutation")
         mapping.setflags(write=False)
         object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "_operand", mapping)
+
+    @property
+    def arity(self) -> int:
+        return self.total_qubits
 
     def power(self, e: int) -> "PermutationOracle":
         """Composition power by repeated squaring of the mapping."""
@@ -169,30 +178,9 @@ class PermutationOracle:
 
 
 def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, controls=()) -> StateVector:
-    """Apply |x> -> |perm(x)> on ``targets`` where all control bits match."""
-    n = s.num_qubits
-    require_qubits(n)
-    targets = list(range(oracle.total_qubits)) if targets is None else list(targets)
-    touched = targets + [q for q, _ in controls]
-    if len(set(touched)) != len(touched) or any(q < 0 or q >= n for q in touched):
-        raise ValueError("invalid target/control qubits")
-    if any(v not in (0, 1) for _, v in controls):
-        raise ValueError("control polarity must be 0 or 1")
-
-    amps = s.amps.copy()
-    _permute_array(amps, n, oracle.mapping, targets, controls)
-    return StateVector(n, amps)
-
-
-def _permute_array(amps: np.ndarray, num_qubits: int, mapping: np.ndarray, targets, controls) -> None:
-    """In-place |x> -> |mapping[x]> on ``targets`` of ``amps``."""
-    if len(mapping) != 1 << len(targets):
-        raise ValueError("target count must match the oracle width")
-    moved = _subspace(amps, num_qubits, targets, controls)
-    block = moved.reshape(len(mapping), -1)
-    out = np.empty_like(block)
-    out[mapping] = block
-    moved[...] = out.reshape(moved.shape)
+    """Apply |x> -> |perm(x)> on ``targets`` where all control bits match: a one-op program."""
+    targets = range(oracle.total_qubits) if targets is None else targets
+    return simulate(Circuit(s.num_qubits, [GateApplication(oracle, tuple(targets), tuple(controls))]), s)
 
 
 def _row_controls(x: int, n: int):

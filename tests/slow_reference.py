@@ -5,12 +5,13 @@ whole-vector implementations: every basis index is decoded bit by bit into a
 2**n int64 array. They are slow but easy to check by hand; the library's
 strided versions must agree with them exactly. ``reference_apply_to_array``
 is the one-matmul gate kernel that ran every gate before kernels were chosen
-by gate structure and fused; ``reference_run`` applies a circuit's ops with
-it one at a time.
+by gate structure and fused; ``reference_run`` applies a circuit's ops one
+at a time with it, and a permutation oracle's with ``reference_apply_permutation``.
 """
 
 import numpy as np
 
+from qsim.oracles import PermutationOracle
 from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
 
 
@@ -23,9 +24,15 @@ def reference_apply_to_array(amps: np.ndarray, num_qubits: int, app) -> None:
 
 def reference_run(amps: np.ndarray, circuit) -> np.ndarray:
     """A copy of ``amps`` (trailing batch axes allowed) after the circuit's ops, op by op."""
+    n = circuit.num_qubits
     out = np.array(amps, dtype=complex)
     for op in circuit.ops:
-        reference_apply_to_array(out, circuit.num_qubits, op)
+        if isinstance(op.gate, PermutationOracle):
+            columns = out.reshape(1 << n, -1).T
+            moved = [reference_apply_permutation(StateVector(n, col.copy()), op.gate, op.targets, op.controls) for col in columns]
+            out = np.stack([s.amps for s in moved], axis=1).reshape(out.shape)
+        else:
+            reference_apply_to_array(out, n, op)
     return out
 
 

@@ -11,6 +11,7 @@ from qsim.circuit import (
     unitary_of,
 )
 from qsim.gates import is_unitary, standard_gate
+from qsim.oracles import PermutationOracle
 from qsim.qstate import basis_state, probabilities
 
 def bell_circuit():
@@ -181,8 +182,10 @@ def test_circuit_text():
     c = Circuit(3)
     c.h(0)
     c.mcx(((0, 1), (1, 0)), 2)
+    c.append(PermutationOracle(2, np.array([1, 2, 3, 0])), (2, 1), ((0, 1),))
     text = circuit_text(c)
     assert text.splitlines() == [
         "H targets=[0] controls=[]",
         "X targets=[2] controls=[(0,+),(1,-)]",
+        "oracle targets=[2,1] controls=[(0,+)]",
     ]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim import algorithms as alg
-from qsim.algorithms.qpe import _grover_step
+from qsim.algorithms.qpe import _GroverStep
 
 from slow_reference import reference_counting_law, reference_grover_step
 
@@ -79,7 +79,7 @@ def test_grover_step_power_equals_dense_matrix_power(case, k):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, 2, 1 << n)) + 1j * rng.normal(size=(3, 2, 1 << n))
     expected = x @ np.linalg.matrix_power(reference_grover_step(marked, n), k).T
-    _grover_step(n, marked)(x, k)
+    _GroverStep(n, marked).power(k)(x)
     assert np.max(np.abs(x - expected)) <= LAW_ATOL
 
 

@@ -1,8 +1,9 @@
-"""Structure-chosen gate kernels and the fusion pass against the one-matmul reference.
+"""Structure-chosen kernels and the fusion pass against the one-matmul reference.
 
 Every kernel kind is checked alone, and random circuits, with runs of 1-qubit
-gates on adjacent qubits so that fused blocks form, must give the same states
-and unitaries as applying the ops one at a time with the reference kernel.
+gates on adjacent qubits so that fused blocks form and controlled permutation
+oracles between them, must give the same states and unitaries as applying the
+ops one at a time with the reference kernels.
 """
 
 import numpy as np
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.algorithms.grover import grover_circuit
+from qsim.algorithms.qpe import _GroverStep
 from qsim.circuit import Circuit, _kernels, simulate, unitary_of
-from qsim.gates import Gate, GateApplication, apply_to_array, rk_phase, rx, rz, standard_gate, u_gate
+from qsim.gates import _GEMM_SIZE, Gate, GateApplication, apply_to_array, rk_phase, rx, rz, standard_gate, u_gate
+from qsim.oracles import PermutationOracle
 from qsim.qstate import StateVector
 
 from conftest import random_state
-from slow_reference import reference_apply_to_array, reference_run
+from slow_reference import reference_apply_to_array, reference_grover_step, reference_run
 
 TOL = 1e-12
 
@@ -110,7 +113,14 @@ def circuits(draw, max_qubits=8):
             for q in range(lo, min(n, lo + draw(st.integers(1, 6)))):
                 c.append(_one_qubit_gate(draw), (q,))
             continue
-        gate = standard_gate("SWAP") if n > 1 and draw(st.integers(0, 5)) == 0 else _one_qubit_gate(draw)
+        pick = draw(st.integers(0, 5))
+        if pick == 0 and n > 1:
+            gate = standard_gate("SWAP")
+        elif pick == 1:
+            k = draw(st.integers(1, min(n, 3)))
+            gate = PermutationOracle(k, np.array(draw(st.permutations(range(1 << k)))))
+        else:
+            gate = _one_qubit_gate(draw)
         qubits = draw(st.permutations(range(n)))
         targets = tuple(qubits[: gate.arity])
         spare = qubits[gate.arity :]
@@ -133,6 +143,38 @@ def test_fused_simulation_matches_op_by_op_reference(c, seed):
 def test_fused_unitary_matches_op_by_op_reference(c):
     eye = np.eye(1 << c.num_qubits, dtype=complex)
     assert np.max(np.abs(unitary_of(c) - reference_run(eye, c))) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(max_qubits=6))
+def test_circuit_times_its_inverse_is_identity(c):
+    inverse = Circuit(c.num_qubits, c.inverse_ops())
+    eye = np.eye(1 << c.num_qubits)
+    assert np.max(np.abs(unitary_of(c) @ unitary_of(inverse) - eye)) <= TOL
+
+
+@pytest.mark.parametrize("targets, controls", [((7, 2), ()), ((3, 4, 5), ((0, 1),)), ((9, 0, 4, 6), ((2, 0), (13, 1)))])
+def test_dense_products_stay_small(monkeypatch, targets, controls):
+    """Counted, not timed: one large product stalls OpenBLAS's thread pool."""
+    gate = Gate("U", _random_unitary(1 << len(targets), np.random.default_rng(3)))
+    app = GateApplication(gate, targets, controls)
+    psi = random_state(14, np.random.default_rng(4)).amps
+    slow = psi.copy()
+    reference_apply_to_array(slow, 14, app)
+    sizes, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1]) or matmul(a, b))
+    apply_to_array(psi, 14, app)
+    assert sizes and max(sizes) <= _GEMM_SIZE
+    assert np.max(np.abs(psi - slow)) <= TOL
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5])
+def test_controlled_step_unitary_is_the_dense_block(k):
+    marked = ["010", "111"]
+    c = Circuit(5).append(_GroverStep(3, marked).power(k), (2, 3, 4), ((0, 1), (1, 0)))
+    want = np.eye(32, dtype=complex)
+    want[16:24, 16:24] = np.linalg.matrix_power(reference_grover_step(marked, 3), k)
+    assert np.max(np.abs(unitary_of(c) - want)) <= TOL
 
 
 def test_single_qubit_products_take_the_cheaper_kernels():

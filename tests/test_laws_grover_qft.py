@@ -4,9 +4,6 @@ The laws are imported from ``perfbench/reference.py``, which uses only
 ``math`` and NumPy, so the benchmark and these tests check against one copy.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +12,9 @@ import qsim.algorithms as alg
 from qsim.circuit import simulate
 from qsim.qstate import basis_state
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_reference", _PATH)
-reference = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(reference)
+from conftest import perfbench_module
+
+reference = perfbench_module("reference")
 
 LAW_TOL = 1e-10
 

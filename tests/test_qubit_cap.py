@@ -85,7 +85,7 @@ def test_apply_permutation(monkeypatch):
 
 def test_counting_refused_before_the_dense_step(monkeypatch):
     cap(monkeypatch, 4)
-    tripwire(monkeypatch, qpe_mod, "_grover_step")
+    tripwire(monkeypatch, qpe_mod, "_GroverStep")
     with pytest.raises(ResourceLimitError):
         alg.quantum_counting(["01"], 2, m=3)
 
