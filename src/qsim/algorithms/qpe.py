@@ -68,6 +68,7 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     _, m, n = shor_registers(modulus)
+    require_qubits(m + n)  # before the work-register oracle, too
     rng = np.random.default_rng(seed)
     state = _qpe_state((modmul_oracle(a, modulus),), basis_state(n, 1), m, transform=False)
     return order_finding_readout(state, a, modulus, rng)
@@ -83,6 +84,7 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
         raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
+    require_qubits(2 * m + n)  # before the work-register oracles, too
     rng = np.random.default_rng(seed)
     state = _qpe_state((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), basis_state(n, 1), m)
     dist, joint = readout(state, range(2 * m), rng)

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .gates import Gate, GateApplication, apply_kernel, classify, standard_gate
+from .gates import Gate, GateApplication, apply_kernel, classify, dagger, standard_gate
 from .qstate import Distribution, StateVector, basis_state, marginal_probs
 
 DEFAULT_MAX_QUBITS = 20
@@ -106,14 +106,14 @@ class Circuit:
         return self
 
     def inverse_ops(self) -> list:
-        """Applications of the dagger circuit: daggered gates and inverted oracle mappings."""
+        """Applications of the dagger circuit: daggered gates, inverted oracle mappings and steps."""
         out = []
         for op in reversed(self.ops):
             gate = op.gate
-            if gate._kind == "map":
-                gate = type(gate)(gate.arity, np.argsort(gate.mapping))
+            if gate._kind in ("map", "call"):
+                gate = gate.power(-1)
             elif not np.array_equal(gate.matrix.conj().T, gate.matrix):
-                gate = Gate(gate.name + "dg", gate.matrix.conj().T)
+                gate = dagger(gate)
             out.append(GateApplication(gate, op.targets, op.controls))
         return out
 

@@ -29,6 +29,8 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 # several threads can stall 8 ms waking them (seen at 16x16 @ 16x256 and up
 # on a 2-vCPU host), while a batch of small products runs on the caller's thread
 _GEMM_SIZE = 1 << 14
+# widest tiled gate: only products of at most 16 rows stalled, and from 32 rows on one product beat tiles
+_TILED_QUBITS = 4
 
 
 def classify(matrix: np.ndarray) -> str:
@@ -161,8 +163,8 @@ def dagger(g: Gate) -> Gate:
 
 
 def _tiles(block: np.ndarray, k: int) -> np.ndarray:
-    """``(..., 2**k, cols)`` column tiles of a ``(..., 2**k, columns)`` block, small enough for one thread."""
-    cols = math.gcd(block.shape[-1], max(_GEMM_SIZE >> 2 * k, 1))
+    """``(..., 2**k, cols)`` column tiles of a ``(..., 2**k, columns)`` block, one tile if k > _TILED_QUBITS."""
+    cols = block.shape[-1] if k > _TILED_QUBITS else math.gcd(block.shape[-1], _GEMM_SIZE >> 2 * k)
     return block.reshape(*block.shape[:-1], -1, cols).swapaxes(-3, -2)
 
 
@@ -182,6 +184,8 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         return
     if kind == "call":
         # a step acts on the trailing k qubits, which stay the trailing contiguous axis of its view
+        if tuple(targets) != tuple(range(num_qubits - k, num_qubits)):
+            raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
         index = [slice(None)] * (num_qubits - k)
         for q, v in controls:
             index[q] = v

@@ -161,9 +161,9 @@ class PermutationOracle:
         return self.total_qubits
 
     def power(self, e: int) -> "PermutationOracle":
-        """Composition power by repeated squaring of the mapping."""
+        """Composition power by repeated squaring of the mapping; a negative e powers the inverse."""
         if e < 0:
-            raise ValueError("exponent must be nonnegative")
+            return PermutationOracle(self.total_qubits, np.argsort(self.mapping)).power(-e)
         result = np.arange(1 << self.total_qubits)
         base = self.mapping
         while e:

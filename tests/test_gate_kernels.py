@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qsim.algorithms.grover import grover_circuit
 from qsim.algorithms.qpe import _GroverStep
 from qsim.circuit import Circuit, _kernels, simulate, unitary_of
-from qsim.gates import _GEMM_SIZE, Gate, GateApplication, apply_to_array, rk_phase, rx, rz, standard_gate, u_gate
+from qsim.gates import _GEMM_SIZE, _TILED_QUBITS, Gate, GateApplication, apply_to_array, rk_phase, rx, rz, standard_gate, u_gate
 from qsim.oracles import PermutationOracle
 from qsim.qstate import StateVector
 
@@ -168,6 +168,23 @@ def test_dense_products_stay_small(monkeypatch, targets, controls):
     assert np.max(np.abs(psi - slow)) <= TOL
 
 
+@pytest.mark.parametrize("k", [_TILED_QUBITS + 1, 7, 8])
+@pytest.mark.parametrize("adjacent", [True, False])
+def test_wide_dense_gates_stay_one_product(monkeypatch, k, adjacent):
+    """Past ``_TILED_QUBITS`` a tile would shrink toward a matrix-vector product, so none is cut."""
+    n = 10
+    targets = tuple(range(1, 1 + k)) if adjacent else tuple(range(n - 1, n - 1 - k, -1))
+    app = GateApplication(Gate("U", _random_unitary(1 << k, np.random.default_rng(k))), targets)
+    psi = random_state(n, np.random.default_rng(5)).amps
+    slow = psi.copy()
+    reference_apply_to_array(slow, n, app)
+    columns, matmul = [], np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: columns.append(b.shape[-1]) or matmul(a, b))
+    apply_to_array(psi, n, app)
+    assert columns == [1 << (n - 1 - k) if adjacent else 1 << (n - k)]
+    assert np.max(np.abs(psi - slow)) <= TOL
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 5])
 def test_controlled_step_unitary_is_the_dense_block(k):
     marked = ["010", "111"]
@@ -175,6 +192,21 @@ def test_controlled_step_unitary_is_the_dense_block(k):
     want = np.eye(32, dtype=complex)
     want[16:24, 16:24] = np.linalg.matrix_power(reference_grover_step(marked, 3), k)
     assert np.max(np.abs(unitary_of(c) - want)) <= TOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_controlled_step_inverse_undoes_it(k):
+    c = Circuit(5).append(_GroverStep(3, ["010", "111"]).power(k), (2, 3, 4), ((0, 1), (1, 0)))
+    c.h(1)
+    inverse = Circuit(5, c.inverse_ops())
+    assert [op.gate.name for op in inverse.ops] == ["H", f"G^{-k}"]
+    assert np.max(np.abs(unitary_of(c) @ unitary_of(inverse) - np.eye(32))) <= TOL
+
+
+def test_step_off_the_trailing_qubits_is_refused():
+    c = Circuit(5).append(_GroverStep(3, ["010"]), (0, 1, 2))
+    with pytest.raises(ValueError, match="last 3 qubits"):
+        simulate(c)
 
 
 def test_single_qubit_products_take_the_cheaper_kernels():

@@ -362,6 +362,7 @@ def test_permutation_power_by_squaring():
     for _ in range(5):
         direct = oracle.mapping[direct]
     assert np.array_equal(powered.mapping, direct)
+    assert np.array_equal(oracle.power(-5).mapping[direct], np.arange(32))
 
 
 def test_smallest_power_of_two_above():

@@ -93,6 +93,7 @@ def test_counting_refused_before_the_dense_step(monkeypatch):
 def test_phase_estimation_routes(monkeypatch):
     cap(monkeypatch, 11)
     tripwire(monkeypatch, qpe_mod, "kron")
+    tripwire(monkeypatch, qpe_mod, "modmul_oracle")
     with pytest.raises(ResourceLimitError):
         alg.qpe_order_finding(7, 15)
     with pytest.raises(ResourceLimitError):
