@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..qstate import Distribution, StateVector, marginal_probs
+from ..qstate import Distribution, StateVector, _bitstring, marginal_probs
 
 
 @dataclass
@@ -33,10 +33,7 @@ def readout(state: StateVector, qubits, rng: np.random.Generator | None):
 
     Returns (distribution, bitstring); the bitstring is None when ``rng`` is.
     """
-    qubits = sorted(qubits)
     probs = marginal_probs(state, qubits)
-    probs = probs / probs.sum()
-    width = len(qubits)
-    entries = {format(i, f"0{width}b"): float(p) for i, p in enumerate(probs)}
-    bits = None if rng is None else format(int(rng.choice(len(probs), p=probs)), f"0{width}b")
-    return Distribution("exact", entries), bits
+    dist = Distribution("exact", probs / probs.sum())
+    bits = None if rng is None else _bitstring(int(rng.choice(probs.size, p=dist.values)), dist.width)
+    return dist, bits

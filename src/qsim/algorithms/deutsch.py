@@ -6,7 +6,7 @@ import numpy as np
 
 from ..circuit import Circuit, simulate
 from ..oracles import TruthTable, synth_bit_oracle, synth_phase_oracle
-from ..qstate import basis_state
+from ..qstate import _bitstring, basis_state
 from .common import AlgorithmResult, readout
 
 
@@ -14,7 +14,7 @@ def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
     if f.n_in != 1 or f.n_out != 1:
         raise ValueError("a 1-bit Boolean function is required")
     if economical:
-        marked = [format(x, "01b") for x in range(2) if f.rows[x] == "1"]
+        marked = [_bitstring(x, 1) for x in range(2) if f.rows[x] == "1"]
         oracle = synth_phase_oracle(1, marked)
         c = Circuit(1)
         c.h(0)
@@ -71,7 +71,7 @@ def dj_classical_randomized(f_probe, n: int, k: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     seen = set()
     for _ in range(k):
-        x = format(int(rng.integers(1 << n)), f"0{n}b")
+        x = _bitstring(int(rng.integers(1 << n)), n)
         seen.add(f_probe(x))
         if len(seen) > 1:
             return "balanced", 1.0 - 1.0 / (1 << (k - 1))

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, synth_bit_oracle, synth_phase_oracle
-from ..qstate import Distribution, basis_state, kron
+from ..qstate import Distribution, _bitstring, basis_state, kron
 from .common import AlgorithmResult, GroverGeometry, readout
 
 
@@ -78,11 +78,10 @@ def grover(
     rng = np.random.default_rng(seed)
     if t_override is None and len(marked) > big_n // 2:
         # the iteration formula degenerates; fall back to a flagged uniform draw
-        x = format(int(rng.integers(big_n)), f"0{n}b")
-        uniform = {format(i, f"0{n}b"): 1.0 / big_n for i in range(big_n)}
+        x = _bitstring(int(rng.integers(big_n)), n)
         return AlgorithmResult(
             answer={"x": x, "degenerate": True},
-            exact_distribution=Distribution("exact", uniform),
+            exact_distribution=Distribution("exact", np.full(big_n, 1.0 / big_n)),
         )
     if t_override is not None:
         iterations = t_override
@@ -106,7 +105,7 @@ def grover(
 def grover_unknown_m(oracle_probe, n: int, seed: int = 0) -> AlgorithmResult:
     """Doubling schedule over guessed marked counts, verifying each sample."""
     big_n = 1 << n
-    marked = [format(x, f"0{n}b") for x in range(big_n) if oracle_probe(format(x, f"0{n}b"))]
+    marked = [bits for bits in (_bitstring(x, n) for x in range(big_n)) if oracle_probe(bits)]
     rng = np.random.default_rng(seed)
     attempts = 0
     guess = 1

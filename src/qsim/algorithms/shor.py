@@ -18,6 +18,7 @@ from ..numtheory import (
 )
 from ..oracles import (
     PermutationOracle,
+    _xor_oracle,
     apply_permutation,
     modexp_oracle,
     smallest_power_of_two_above,
@@ -176,11 +177,7 @@ def _dlog_function_oracle(modulus: int, a: int, b: int, m: int, n: int) -> Permu
         ax = mod_pow(a, x, modulus)
         for y in range(1 << m):
             values[(x << m) | y] = ax * mod_pow(b, y, modulus) % modulus
-    zs = np.arange(1 << n)
-    mapping = (
-        (np.arange(1 << (2 * m))[:, None] << n) | (zs[None, :] ^ values[:, None])
-    ).reshape(-1)
-    return PermutationOracle(2 * m + n, mapping)
+    return _xor_oracle(values, n)
 
 
 def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResult:

@@ -198,16 +198,9 @@ def run(c: Circuit, shots: int, seed: int) -> Distribution:
         raise ValueError("at least one shot is required")
     if shots > MAX_SHOTS:
         raise ResourceLimitError(f"{shots} shots exceeds the cap {MAX_SHOTS}")
-    final = simulate(c)
-    probs = marginal_probs(final, c.measurements)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    width = len(c.measurements)
-    entries = {
-        format(i, f"0{width}b"): int(k) for i, k in enumerate(counts) if k > 0
-    }
-    return Distribution("sampled", entries, shots=shots)
+    probs = marginal_probs(simulate(c), c.measurements)
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return Distribution("sampled", counts, shots=shots)
 
 
 def unitary_of(c: Circuit) -> np.ndarray:

@@ -7,7 +7,6 @@ appearance), operators ``! & ^ |`` with parentheses, precedence ! > & > ^ > |.
 from __future__ import annotations
 
 import argparse
-import heapq
 import json
 import sys
 import time
@@ -16,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algorithms
-from .circuit import ResourceLimitError, unitary_of
+from .circuit import MAX_SHOTS, ResourceLimitError, unitary_of
 from .oracles import And, BooleanExpr, Not, Or, TruthTable, Var, Xor, xor_permutation_oracle
+from .qstate import _bitstring
 
 
 @dataclass
@@ -45,23 +45,22 @@ class RunReport:
 def _top_entries(dist, top: int, shots: int | None, seed: int) -> list | None:
     if dist is None:
         return None
-    entries = dist.entries
+    values = dist.values
     if shots is not None:
-        rng = np.random.default_rng(seed)
-        keys = sorted(entries)
-        probs = np.array([entries[k] for k in keys], dtype=float)
-        counts = rng.multinomial(shots, probs / probs.sum())
-        entries = {k: int(c) for k, c in zip(keys, counts) if c > 0}
-    elif dist.kind == "exact":
+        values = np.random.default_rng(seed).multinomial(shots, values / values.sum())
+    if shots is None and dist.kind == "exact":
         # 12 absolute places, so float noise (and -0.0) neither prints nor decides the order.
         # Rounding moves a value by at most 5e-13, so only values within 1e-12 of the
         # top-th largest can make the cut; the rest are not rounded.
-        if 0 < top < len(entries):
-            cut = heapq.nlargest(top, entries.values())[-1] - 1e-12
-            entries = {k: v for k, v in entries.items() if v >= cut}
-        entries = {k: round(v, 12) + 0.0 for k, v in entries.items()}
-    ordered = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [{"bitstring": k, "value": v} for k, v in ordered[:top]]
+        rows = np.arange(values.size)
+        if 0 < top < values.size:
+            rows = np.flatnonzero(values >= np.partition(values, -top)[-top] - 1e-12)
+        cells = [round(v, 12) + 0.0 for v in values[rows].tolist()]
+    else:
+        rows = np.flatnonzero(values > 0)
+        cells = values[rows].tolist()
+    ordered = sorted(zip(cells, rows.tolist()), key=lambda vi: (-vi[0], vi[1]))
+    return [{"bitstring": _bitstring(i, dist.width), "value": v} for v, i in ordered[:top]]
 
 
 def _print_report(report: RunReport, as_json: bool) -> None:
@@ -162,7 +161,7 @@ def _marked_argument(csv: str, n: int) -> list:
         if len(token) == n and set(token) <= {"0", "1"}:
             marked.append(token)
         else:
-            marked.append(format(int(token), f"0{n}b"))
+            marked.append(_bitstring(int(token), n))
     return marked
 
 
@@ -176,7 +175,7 @@ def _simon_table(args) -> TruthTable:
     n = len(s)
     s_int = int(s, 2)
     return TruthTable.from_function(
-        n, n, lambda x: format(min(int(x, 2), int(x, 2) ^ s_int), f"0{n}b")
+        n, n, lambda x: _bitstring(min(int(x, 2), int(x, 2) ^ s_int), n)
     )
 
 
@@ -342,6 +341,10 @@ def _dispatch(args) -> tuple:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.shots is not None and not 1 <= args.shots <= MAX_SHOTS:
+        _usage_error(f"--shots must be between 1 and {MAX_SHOTS}")
+    if args.top < 1:
+        _usage_error("--top must be at least 1")
     start = time.perf_counter()
     try:
         parameters, answer, dist, code = _dispatch(args)

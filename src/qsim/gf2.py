@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qstate import _bitstring
+
 
 class InsufficientRankError(ValueError):
     """The equation system underdetermines the hidden string; gather more rows."""
@@ -16,10 +18,6 @@ class InsufficientRankError(ValueError):
 
 def _pack(bits: str) -> int:
     return int(bits, 2) if bits else 0
-
-
-def _unpack(word: int, width: int) -> str:
-    return format(word, f"0{width}b")
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class BitMatrix:
         return cls(width, tuple(_pack(b) for b in bitstrings))
 
     def row_strings(self) -> list:
-        return [_unpack(r, self.width) for r in self.rows]
+        return [_bitstring(r, self.width) for r in self.rows]
 
 
 def _eliminate(m: BitMatrix):
@@ -86,7 +84,7 @@ def nullspace_basis(m: BitMatrix) -> list:
         for row, p in zip(reduced, pivots):
             if row & (1 << (m.width - 1 - f)):
                 vec |= 1 << (m.width - 1 - p)
-        basis.append(_unpack(vec, m.width))
+        basis.append(_bitstring(vec, m.width))
     return basis
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .circuit import Circuit, require_qubits, simulate
 from .gates import GateApplication
 from .numtheory import mult_order
-from .qstate import StateVector
+from .qstate import StateVector, _bitstring
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class TruthTable:
     def from_function(cls, n_in: int, n_out: int, f) -> "TruthTable":
         rows = []
         for x in range(1 << n_in):
-            out = f(format(x, f"0{n_in}b"))
-            rows.append(out if isinstance(out, str) else format(out, f"0{n_out}b"))
+            out = f(_bitstring(x, n_in))
+            rows.append(out if isinstance(out, str) else _bitstring(out, n_out))
         return cls(n_in, n_out, tuple(rows))
 
     @classmethod
@@ -63,9 +63,7 @@ class TruthTable:
         return cls(n_in, n_out, tuple(pairs[x] for x in range(1 << n_in)))
 
     def to_text(self) -> str:
-        return "\n".join(
-            f"{format(x, f'0{self.n_in}b')} {row}" for x, row in enumerate(self.rows)
-        )
+        return "\n".join(f"{_bitstring(x, self.n_in)} {row}" for x, row in enumerate(self.rows))
 
     def output_int(self, x: int) -> int:
         return int(self.rows[x], 2)
@@ -382,9 +380,7 @@ def modexp_oracle(a: int, modulus: int, q: int) -> PermutationOracle:
     for ell in range(q):
         powers[ell] = value
         value = (value * a) % modulus
-    ys = np.arange(1 << n)
-    mapping = ((np.arange(q)[:, None] << n) | (ys[None, :] ^ powers[:, None])).reshape(-1)
-    return PermutationOracle(m + n, mapping)
+    return _xor_oracle(powers, n)
 
 
 def modmul_oracle(a: int, modulus: int) -> PermutationOracle:
@@ -411,7 +407,7 @@ def order2_modexp_circuit(a: int, modulus: int) -> Circuit:
     c = Circuit(m + n)
     parity_qubit = m - 1
     c.mcx(((parity_qubit, 0),), m + n - 1)
-    bits = format(a % modulus, f"0{n}b")
+    bits = _bitstring(a % modulus, n)
     for i, bit in enumerate(bits):
         if bit == "1":
             c.cx(parity_qubit, m + i)
@@ -429,8 +425,10 @@ def smallest_power_of_two_above(threshold: int) -> int:
 def xor_permutation_oracle(tt: TruthTable) -> PermutationOracle:
     """The defining permutation |x>|y> -> |x>|y xor f(x)> of a truth table."""
     outs = np.array([tt.output_int(x) for x in range(1 << tt.n_in)], dtype=np.int64)
-    ys = np.arange(1 << tt.n_out)
-    mapping = (
-        (np.arange(1 << tt.n_in)[:, None] << tt.n_out) | (ys[None, :] ^ outs[:, None])
-    ).reshape(-1)
-    return PermutationOracle(tt.n_in + tt.n_out, mapping)
+    return _xor_oracle(outs, tt.n_out)
+
+
+def _xor_oracle(values: np.ndarray, n_out: int) -> PermutationOracle:
+    """|x>|y> -> |x>|y xor values[x]>, with y on the last ``n_out`` qubits."""
+    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
+    return PermutationOracle(len(values).bit_length() - 1 + n_out, mapping.reshape(-1))

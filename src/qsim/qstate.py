@@ -8,6 +8,7 @@ symbol of the ket, matching the usual textbook reading order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,32 +82,51 @@ class MeasurementRecord:
     post_state: StateVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Exact probabilities or sampled shot counts over bitstrings."""
+    """Exact probabilities or shot counts, indexed by a register's basis integer."""
 
     kind: str
-    entries: dict
+    values: np.ndarray
     shots: int | None = None
 
     def __post_init__(self):
+        values = np.array(self.values)
+        if values.ndim != 1 or values.size & (values.size - 1) or not values.size:
+            raise ValueError(f"expected one value per basis state, got shape {values.shape}")
         if self.kind == "exact":
-            total = sum(self.entries.values())
+            total = values.sum()
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"exact probabilities sum to {total}, not 1")
             if self.shots is not None:
                 raise ValueError("exact distributions carry no shot count")
         elif self.kind == "sampled":
-            if self.shots is None or sum(self.entries.values()) != self.shots:
+            if self.shots is None or values.sum() != self.shots:
                 raise ValueError("sampled counts must sum to the shot count")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def width(self) -> int:
+        return self.values.size.bit_length() - 1
+
+    @cached_property
+    def entries(self) -> dict:
+        """{bitstring: value} over every outcome of a law, or the outcomes a sample saw; built once."""
+        width, values = self.width, self.values
+        seen = np.flatnonzero(values > 0) if self.kind == "sampled" else np.arange(values.size)
+        return {_bitstring(i, width): v for i, v in zip(seen.tolist(), values[seen].tolist())}
 
     def prob(self, bits: str) -> float:
-        return self.entries.get(bits, 0.0)
+        """The value at ``bits``; 0.0 for an outcome never seen or a malformed bitstring."""
+        index = int(bits, 2) if isinstance(bits, str) and bits and set(bits) <= {"0", "1"} else -1
+        found = 0 <= index < self.values.size and _bitstring(index, self.width) == bits
+        return self.values.item(index) if found else 0.0
 
     def support(self, tol: float = 1e-12) -> set:
-        return {b for b, v in self.entries.items() if v > tol}
+        return {_bitstring(i, self.width) for i in np.flatnonzero(self.values > tol)}
 
 
 def basis_state(n: int, x: int) -> StateVector:
@@ -128,10 +148,7 @@ def kron(a: StateVector, b: StateVector) -> StateVector:
 def probabilities(s: StateVector) -> Distribution:
     """Exact outcome distribution over every basis string."""
     probs = np.abs(s.amps) ** 2
-    probs = probs / probs.sum()
-    n = s.num_qubits
-    entries = {_bitstring(x, n): float(p) for x, p in enumerate(probs)}
-    return Distribution("exact", entries)
+    return Distribution("exact", probs / probs.sum())
 
 
 def marginal_probs(s: StateVector, qubits) -> np.ndarray:

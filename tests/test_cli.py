@@ -1,10 +1,14 @@
 import json
+import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsim import qstate
+from qsim.circuit import MAX_SHOTS
 from qsim.cli import _top_entries, main, parse_bool_expr
 from qsim.oracles import TruthTable
 
@@ -159,12 +163,52 @@ def test_bad_argument_values_exit_2(capsys):
 
     for argv in (
         ["bv", "--s", "2A"],
+        ["bv", "--s", "101", "--shots", "-3"],
+        ["bv", "--s", "101", "--shots", "0"],
+        ["bv", "--s", "101", "--shots", str(MAX_SHOTS + 1)],
+        ["bv", "--s", "101", "--top", "0"],
+        ["bv", "--s", "101", "--top", "-2"],
         ["simon", "--s", "000"],
         ["deutsch", "--f", "011"],
         ["grover", "--n", "2", "--marked", "xx"],
         ["dlog", "--N", "21", "--a", "2", "--b", "4"],
     ):
         assert exit_code(argv) == 2, argv
+
+
+def test_count_arguments_are_refused_before_simulation(capsys, monkeypatch):
+    monkeypatch.setattr("qsim.cli._dispatch", lambda args: pytest.fail("simulated a refused argv"))
+    for flag, value in (("--shots", "-3"), ("--shots", "0"), ("--top", "0"), ("--top", "-2")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bv", "--s", "101", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} "), lines
+
+
+def test_count_report_formats_only_the_rows_it_prints(capsys, monkeypatch):
+    # Counted, not timed: m = 18 has 2^18 outcomes, the report prints 16.
+    formatted = []
+    original = qstate._bitstring
+
+    def counting_bitstring(index, width):
+        formatted.append(index)
+        return original(index, width)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qsim.") and getattr(module, "_bitstring", None) is original:
+            monkeypatch.setattr(module, "_bitstring", counting_bitstring)
+    built = []
+    entries = qstate.Distribution.entries
+    monkeypatch.setattr(
+        qstate.Distribution, "entries", property(lambda dist: built.append(dist) or entries.func(dist))
+    )
+    assert main(["count", "--n", "2", "--marked", "01", "--m", "18", "--json"]) == 0
+    top = len(json.loads(capsys.readouterr().out)["distribution"])
+    assert top == 16
+    assert len(formatted) <= top + 1  # the printed rows and the drawn read-out
+    assert built == []
 
 
 def test_human_readable_histogram(capsys):
@@ -224,6 +268,6 @@ def test_top_entries_equal_rounding_every_entry(values, top):
     entries = {format(i, "05b"): v for i, v in enumerate(values)}
     rounded = sorted(((k, round(v, 12) + 0.0) for k, v in entries.items()), key=lambda kv: (-kv[1], kv[0]))
     expected = [{"bitstring": k, "value": v} for k, v in rounded[:top]]
-    # Distribution itself checks that exact entries sum to 1; the report does not need that.
-    dist = SimpleNamespace(kind="exact", entries=entries)
+    # Distribution itself checks that exact values sum to 1 over 2^k outcomes; the report does not need that.
+    dist = SimpleNamespace(kind="exact", values=np.array(values, dtype=float), width=5)
     assert _top_entries(dist, top, None, 0) == expected

@@ -2,12 +2,12 @@
 
 ``quantum_counting`` applies the Grover step G**(2**j) in place for power j,
 in closed form (a rotation on span{|good>, |bad>}). The reference in
-``slow_reference`` builds the 2**n x 2**n step and squares it; both must give the two-eigenphase law of Brassard, Hoyer, Mosca and Tapp:
+``slow_reference`` builds the 2**n x 2**n step and squares it; both must give the two-eigenphase law of Brassard, Hoyer, Mosca and Tapp,
+``reference.counting_law`` in the benchmark's law module:
 1/2 sum_+- |2^-m sum_k e^{2 pi i k (+-theta/2pi - j/2^m)}|^2, with
 theta = 2 asin(sqrt(M/N)).
 """
 
-import math
 import time
 
 import numpy as np
@@ -17,25 +17,18 @@ from hypothesis import strategies as st
 from qsim import algorithms as alg
 from qsim.algorithms.qpe import _GroverStep
 
+from conftest import perfbench_module
 from slow_reference import reference_counting_law, reference_grover_step
+
+reference = perfbench_module("reference")
 
 LAW_ATOL = 1e-10
 
 
-def closed_form_law(n: int, num_marked: int, m: int) -> np.ndarray:
-    theta = 2.0 * math.asin(math.sqrt(num_marked / (1 << n)))
-    k = np.arange(1 << m)
-    j = np.arange(1 << m)[:, None]
-    law = np.zeros(1 << m)
-    for phase in (theta, -theta):
-        amp = np.exp(2j * math.pi * k * (phase / (2 * math.pi) - j / (1 << m))).mean(axis=1)
-        law += 0.5 * np.abs(amp) ** 2
-    return law
-
-
 def counting_law(result, m: int) -> np.ndarray:
-    entries = result.exact_distribution.entries
-    return np.array([entries[format(j, f"0{m}b")] for j in range(1 << m)])
+    dist = result.exact_distribution
+    assert dist.width == m
+    return dist.values
 
 
 @st.composite
@@ -66,7 +59,7 @@ def test_counting_matches_dense_reference_and_closed_form(case):
     res = alg.quantum_counting(marked, n, m=m, seed=seed)
     law = counting_law(res, m)
     assert np.max(np.abs(law - reference_counting_law(marked, n, m))) <= LAW_ATOL
-    assert np.max(np.abs(law - closed_form_law(n, len(marked), m))) <= LAW_ATOL
+    assert np.max(np.abs(law - reference.counting_law(n, len(marked), m))) <= LAW_ATOL
     assert law[res.answer["phi_tilde"]] > 1e-12
 
 
@@ -88,7 +81,7 @@ def test_counting_n10_matches_dense_reference():
     res = alg.quantum_counting(marked, 10, seed=3)
     law = counting_law(res, 6)  # default m = ceil(10 / 2) + 1
     assert np.max(np.abs(law - reference_counting_law(marked, 10, 6))) <= LAW_ATOL
-    assert np.max(np.abs(law - closed_form_law(10, 7, 6))) <= LAW_ATOL
+    assert np.max(np.abs(law - reference.counting_law(10, 7, 6))) <= LAW_ATOL
 
 
 def test_counting_at_twenty_qubits_in_seconds():
@@ -97,5 +90,5 @@ def test_counting_at_twenty_qubits_in_seconds():
     start = time.perf_counter()
     res = alg.quantum_counting(marked, 14, m=6, seed=1)
     elapsed = time.perf_counter() - start
-    assert np.max(np.abs(counting_law(res, 6) - closed_form_law(14, 40, 6))) <= LAW_ATOL
+    assert np.max(np.abs(counting_law(res, 6) - reference.counting_law(14, 40, 6))) <= LAW_ATOL
     assert elapsed < 5.0, f"n = 14, m = 6 took {elapsed:.2f} s"

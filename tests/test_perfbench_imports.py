@@ -3,7 +3,10 @@
 ``perfbench/workloads.py`` and ``perfbench/tracer.py`` import qsim by name and
 patch its classes, so a refactor that removes one of those names breaks the
 benchmark. Here the tracer installs and uninstalls over the live package, and
-one pass of each workload's call list is built without running a call.
+one pass of each workload's call list is built without running a call. The
+small calls of one seeded pass are also run and checked against the
+benchmark's exact laws, so a change that would fail its correctness gate fails
+here first.
 """
 
 import random
@@ -45,3 +48,12 @@ def test_workload_pass_builds(name, tmp_path):
     calls = build(random.Random(f"{name}:1:0"), ctx)
     assert calls and all(callable(call.run) and callable(call.check) for call in calls)
     assert callable(warm)
+
+
+@pytest.mark.parametrize("name", ["amplify-qft", "period-find"])
+def test_small_calls_pass_the_benchmark_checks(name):
+    build, _, _ = workloads.WORKLOADS[name]
+    calls = [call for call in build(random.Random(f"{name}:1:0"), None) if call.qubits <= 13]
+    assert calls
+    for call in calls:
+        call.check(call.run())

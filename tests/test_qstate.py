@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsim.qstate import (
     Distribution,
@@ -63,12 +65,55 @@ def test_probabilities_examples():
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        Distribution("exact", {"0": 0.5, "1": 0.6})
-    with pytest.raises(ValueError):
-        Distribution("sampled", {"0": 3}, shots=4)
-    with pytest.raises(ValueError):
-        Distribution("odd", {"0": 1.0})
+    with pytest.raises(ValueError, match="sum to"):
+        Distribution("exact", np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match="shot count"):
+        Distribution("sampled", np.array([3, 0]), shots=4)
+    with pytest.raises(ValueError, match="unknown distribution kind"):
+        Distribution("odd", np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="one value per basis state"):
+        Distribution("exact", np.full(3, 1 / 3))
+
+
+@st.composite
+def distributions(draw):
+    """(kind, width, values, shots): a law or a sample over a register of 0-8 qubits."""
+    width = draw(st.integers(0, 8))
+    size = 1 << width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seen = rng.random(size) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    if draw(st.booleans()):
+        values = rng.random(size) * seen
+        if not values.any():
+            values[rng.integers(size)] = 1.0
+        return "exact", width, values / values.sum(), None
+    values = rng.integers(1, 5, size) * seen
+    return "sampled", width, values, int(values.sum())
+
+
+MALFORMED_KEYS = st.one_of(
+    st.text(alphabet="01 +-_b", max_size=10),
+    st.sampled_from([None, 1, b"1", "-1", "-01", " 1", "1_0", "0b1", "\u0661"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(), st.lists(MALFORMED_KEYS, max_size=5), st.sampled_from([0.0, 1e-12, 0.1, 0.5, 2.5]))
+def test_distribution_matches_bitstring_dict(case, malformed, tol):
+    kind, width, values, shots = case
+    dist = Distribution(kind, values, shots=shots)
+    # the bitstring-keyed dict each producer used to build by hand
+    cast = float if kind == "exact" else int
+    want = {
+        format(i, f"0{width}b"): cast(v) for i, v in enumerate(values) if kind == "exact" or v > 0
+    }
+    assert dist.width == width and not dist.values.flags.writeable
+    assert dist.entries == want and dist.entries is dist.entries
+    assert all(type(v) is cast for v in dist.entries.values())
+    keys = [format(i, f"0{width}b") for i in range(1 << width)]
+    for bits in keys + malformed + ["0" + keys[-1], keys[-1][1:]]:
+        assert dist.prob(bits) == want.get(bits, 0.0), bits
+    assert dist.support(tol) == {b for b, v in want.items() if v > tol}
 
 
 def test_measure_bell_never_mixed(rng):
