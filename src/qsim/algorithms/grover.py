@@ -72,6 +72,8 @@ def grover(
     seed: int = 0,
 ) -> AlgorithmResult:
     """Search for a marked string; answer carries the sample and a degeneracy flag."""
+    if n < 1:
+        raise ValueError("a search register needs at least one qubit")
     require_qubits(n + 1 if variant == "standard" else n)
     marked = sorted(set(marked))
     big_n = 1 << n

@@ -50,7 +50,8 @@ def simon_batch(oracle, n: int, rng: np.random.Generator):
     """n-1 quantum rounds; returns (equations, has_full_rank)."""
     base = _post_oracle_state(oracle, n)  # deterministic up to the collapse
     rows = [simon_round(oracle, n, rng, _base=base) for _ in range(n - 1)]
-    equations = BitMatrix.from_strings(rows)
+    # the width is n even when n = 1 leaves no rows to infer it from
+    equations = BitMatrix(n, tuple(int(bits, 2) for bits in rows))
     return equations, rank(equations) == n - 1
 
 

@@ -153,6 +153,8 @@ def _bits_argument(value: str, name: str) -> str:
 
 
 def _marked_argument(csv: str, n: int) -> list:
+    if n < 1:
+        _usage_error("--n must be at least 1")
     marked = []
     for token in csv.split(","):
         token = token.strip()

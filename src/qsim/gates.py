@@ -10,7 +10,8 @@ a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
 ``apply_kernel`` is the one code path that changes amplitudes. A matrix is
 classified once: a diagonal multiplies only its non-unit slices, a 0/1
 permutation exchanges slices, a dense 1-qubit matrix updates the two
-half-views, and a dense k-qubit matrix is a batch of small matmuls.
+half-views, and a dense k-qubit matrix is a batch of small matmuls (real
+ones on the float view of the amplitudes when the matrix is real).
 """
 
 from __future__ import annotations
@@ -162,9 +163,14 @@ def dagger(g: Gate) -> Gate:
     return Gate(g.name + "dg", g.matrix.conj().T)
 
 
+def _tile_length(length: int, k: int) -> int:
+    """Columns (or rows) per tile of a k-qubit block product: all ``length`` of them if k > _TILED_QUBITS."""
+    return length if k > _TILED_QUBITS else math.gcd(length, _GEMM_SIZE >> 2 * k)
+
+
 def _tiles(block: np.ndarray, k: int) -> np.ndarray:
-    """``(..., 2**k, cols)`` column tiles of a ``(..., 2**k, columns)`` block, one tile if k > _TILED_QUBITS."""
-    cols = block.shape[-1] if k > _TILED_QUBITS else math.gcd(block.shape[-1], _GEMM_SIZE >> 2 * k)
+    """``(..., 2**k, cols)`` column tiles of a ``(..., 2**k, columns)`` block."""
+    cols = _tile_length(block.shape[-1], k)
     return block.reshape(*block.shape[:-1], -1, cols).swapaxes(-3, -2)
 
 
@@ -179,7 +185,16 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
     lo = targets[0]
     if kind == "dense" and k > 1 and not controls and tuple(targets) == tuple(range(lo, lo + k)):
         # adjacent targets: the (before, block, after) view needs no moveaxis copy
-        tiles = _tiles(amps.reshape(1 << lo, 1 << k, -1), k)
+        block = amps.reshape(1 << lo, 1 << k, -1)
+        if block.shape[-1] == 1:
+            # a trailing block: its columns would be vectors, so tiles of rows are right-multiplied
+            rows = block.reshape(-1, _tile_length(1 << lo, k), 1 << k)
+            rows[...] = np.matmul(rows, operand.T)
+            return
+        if operand.dtype == np.float64:
+            # a real product takes the real and imaginary parts as separate columns
+            block = block.view(np.float64)
+        tiles = _tiles(block, k)
         tiles[...] = np.matmul(operand, tiles)
         return
     if kind == "call":

@@ -63,6 +63,12 @@ def test_simon_from_hidden_string(capsys):
     assert report["answer"] == "110"
 
 
+def test_simon_on_one_bit(capsys):
+    # no rounds are needed: the empty system over one bit leaves only s = 1
+    code, report = run_json(capsys, "simon", "--s", "1")
+    assert code == 0 and report["answer"] == "1"
+
+
 def test_simon_from_table(capsys, tmp_path):
     rows = ("000", "001", "010", "100", "010", "100", "000", "001")
     path = tmp_path / "simon.tt"
@@ -171,9 +177,15 @@ def test_bad_argument_values_exit_2(capsys):
         ["simon", "--s", "000"],
         ["deutsch", "--f", "011"],
         ["grover", "--n", "2", "--marked", "xx"],
+        ["grover", "--n", "0", "--marked", "0"],
+        ["grover", "--n", "-1", "--marked", "0"],
+        ["count", "--n", "0", "--marked", "0"],
+        ["count", "--n", "-1", "--marked", "0"],
         ["dlog", "--N", "21", "--a", "2", "--b", "4"],
     ):
         assert exit_code(argv) == 2, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 def test_count_arguments_are_refused_before_simulation(capsys, monkeypatch):

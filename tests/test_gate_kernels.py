@@ -8,6 +8,7 @@ ops one at a time with the reference kernels.
 
 import numpy as np
 import pytest
+import qsim.circuit
 import qsim.gates
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from qsim.algorithms.grover import grover_circuit
 from qsim.algorithms.qpe import _GroverStep
 from qsim.circuit import Circuit, _kernels, simulate, unitary_of
-from qsim.gates import _GEMM_SIZE, _TILED_QUBITS, Gate, GateApplication, apply_to_array, rk_phase, rx, rz, standard_gate, u_gate
+from qsim.gates import _GEMM_SIZE, _TILED_QUBITS, Gate, GateApplication, apply_to_array, rk_phase, rx, ry, rz, standard_gate, u_gate
 from qsim.oracles import PermutationOracle
 from qsim.qstate import StateVector
 
@@ -183,6 +184,80 @@ def test_wide_dense_gates_stay_one_product(monkeypatch, k, adjacent):
     apply_to_array(psi, n, app)
     assert columns == [1 << (n - 1 - k) if adjacent else 1 << (n - k)]
     assert np.max(np.abs(psi - slow)) <= TOL
+
+
+def _block_circuit(n, lo, k, real):
+    """1-qubit gates whose products on qubits lo..lo+k-1 fuse into one block.
+
+    X.H and Ry are not symmetric, so neither is their kron: a block applied
+    transposed gives a different state. One u_gate makes the block complex.
+    """
+    c = Circuit(n)
+    for j, q in enumerate(range(lo, lo + k)):
+        c.h(q)
+        if j % 2:
+            c.append(ry(0.3 + j), (q,))
+        else:
+            c.x(q)
+    if not real:
+        c.append(u_gate(0.4, 1.3, -2.1), (lo + k - 1,))
+    return c
+
+
+# a block is "trailing" when it ends on the last qubit: its after axis is 1,
+# so it runs as tiles of rows; at n >= 10 the row count reaches a full tile
+BLOCK_CASES = [
+    (n, k, real, trailing)
+    for n in (10, 11, 12, 13)
+    for k in (2, 3, 4)
+    for real in (True, False)
+    for trailing in (True, False)
+]
+
+
+@pytest.mark.parametrize("n,k,real,trailing", BLOCK_CASES)
+def test_block_kernels_match_reference(n, k, real, trailing):
+    lo = n - k if trailing else 1
+    c = _block_circuit(n, lo, k, real)
+    (kernel,) = _kernels(c.ops)
+    kind, operand, targets, _ = kernel
+    assert (kind, targets) == ("dense", tuple(range(lo, lo + k)))
+    assert operand.dtype == (np.float64 if real else np.complex128)
+    psi = random_state(n, np.random.default_rng(n * k))
+    assert np.max(np.abs(simulate(c, psi).amps - reference_run(psi.amps, c))) <= TOL
+    if n == 10:
+        # unitary_of's batch axis makes even a trailing block's after axis wider than 1;
+        # columns are independent, so the slow reference runs on every 17th only
+        columns = np.eye(1 << n, dtype=complex)[:, ::17]
+        assert np.max(np.abs(unitary_of(c)[:, ::17] - reference_run(columns, c))) <= TOL
+
+
+@pytest.mark.parametrize("n", [10, 13])
+def test_wide_trailing_gate_matches_reference(n):
+    k = _TILED_QUBITS + 1
+    c = Circuit(n).append(Gate("U", _random_unitary(1 << k, np.random.default_rng(n))), range(n - k, n))
+    psi = random_state(n, np.random.default_rng(7))
+    assert np.max(np.abs(simulate(c, psi).amps - reference_run(psi.amps, c))) <= TOL
+
+
+def test_real_blocks_are_applied_as_real_products(monkeypatch):
+    """Counted, not timed: an H layer issues float64 blocks, and a block holding an S stays complex."""
+    seen, apply_kernel = [], qsim.circuit.apply_kernel
+
+    def spy(amps, n, kind, operand, targets, controls=()):
+        seen.append((targets, operand.dtype))
+        apply_kernel(amps, n, kind, operand, targets, controls)
+
+    monkeypatch.setattr(qsim.circuit, "apply_kernel", spy)
+    c = Circuit(12)
+    for q in range(12):
+        c.h(q)
+    blocks = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
+    simulate(c)
+    assert seen == [(b, np.float64) for b in blocks]
+    seen.clear()
+    simulate(c.append(standard_gate("S"), (5,)))
+    assert seen == [(blocks[0], np.float64), (blocks[1], np.complex128), (blocks[2], np.float64)]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 5])

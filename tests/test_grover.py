@@ -66,6 +66,12 @@ def test_degenerate_marked_majority():
     assert res.exact_distribution.prob("00") == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_grover_refuses_an_empty_register(n):
+    with pytest.raises(ValueError, match="at least one qubit"):
+        alg.grover(["0"], n)
+
+
 def test_unknown_m_finds_verified_hit():
     members = {"101", "111"}
     res = alg.grover_unknown_m(lambda x: x in members, 3, seed=0)

@@ -1,4 +1,4 @@
-"""Grover (both variants) and the QFT against their closed forms, over random inputs.
+"""Grover (both variants, the doubling schedule and SAT) and the QFT against their closed forms, over random inputs.
 
 The laws are imported from ``perfbench/reference.py``, which uses only
 ``math`` and NumPy, so the benchmark and these tests check against one copy.
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import qsim.algorithms as alg
 from qsim.circuit import simulate
+from qsim.cli import parse_bool_expr
 from qsim.qstate import basis_state
 
 from conftest import perfbench_module
@@ -48,6 +49,53 @@ def test_grover_follows_the_sin_squared_law(case, seed):
     got = reference.dist_array(result.exact_distribution.entries, n)
     assert np.max(np.abs(got - reference.grover_law(n, marked, t))) <= LAW_TOL
     assert got[int(result.answer["x"], 2)] > reference.SUPPORT_FLOOR
+
+
+@st.composite
+def formulas(draw, depth=3):
+    """A ``! & |`` formula over the variables a..e; the top level is never a bare variable."""
+    if depth == 0 or (depth < 3 and draw(st.integers(0, 3)) == 0):
+        return draw(st.sampled_from("abcde"))
+    pick = draw(st.integers(0, 2))
+    if pick == 0:
+        return "!" + draw(formulas(depth - 1))
+    return "(" + draw(formulas(depth - 1)) + "&|"[pick - 1] + draw(formulas(depth - 1)) + ")"
+
+
+@settings(max_examples=40, deadline=None)
+@given(formulas(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_sat_solve_follows_the_sin_squared_law(text, m_known, seed):
+    expr, n_vars = parse_bool_expr(text)
+    models = reference.formula_models(text, n_vars)
+    result = alg.sat_solve(expr, n_vars, m_known=len(models) if m_known and models else None, seed=seed)
+    if not result.success:
+        return  # no guess found a model; there is no law to read
+    assert reference.formula_eval(text, result.answer)
+    guess = len(models) if m_known else 1 << (result.rounds_used - 1)
+    t = reference.grover_iterations(1 << n_vars, guess)
+    got = reference.dist_array(result.exact_distribution.entries, n_vars)
+    assert np.max(np.abs(got - reference.grover_law(n_vars, models, t))) <= LAW_TOL
+
+
+@st.composite
+def marked_sets(draw):
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(1, min(6, 1 << n)))
+    return n, sorted(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count, unique=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(marked_sets(), st.integers(0, 2**32 - 1))
+def test_grover_unknown_m_follows_the_law_of_its_last_guess(case, seed):
+    n, marked = case
+    strings = {format(x, f"0{n}b") for x in marked}
+    result = alg.grover_unknown_m(strings.__contains__, n, seed)
+    if not result.success:
+        return  # every guess missed; the failure carries no law
+    assert result.answer["x"] in strings
+    t = reference.grover_iterations(1 << n, 1 << (result.rounds_used - 1))
+    got = reference.dist_array(result.exact_distribution.entries, n)
+    assert np.max(np.abs(got - reference.grover_law(n, marked, t))) <= LAW_TOL
 
 
 @settings(max_examples=150, deadline=None)

@@ -53,7 +53,9 @@ def test_workload_pass_builds(name, tmp_path):
 @pytest.mark.parametrize("name", ["amplify-qft", "period-find"])
 def test_small_calls_pass_the_benchmark_checks(name):
     build, _, _ = workloads.WORKLOADS[name]
-    calls = [call for call in build(random.Random(f"{name}:1:0"), None) if call.qubits <= 13]
+    # amplify-qft's cut takes in Grover at n = 14-15 and both SAT calls, whose H layers are dense blocks
+    cut = 16 if name == "amplify-qft" else 13
+    calls = [call for call in build(random.Random(f"{name}:1:0"), None) if call.qubits <= cut]
     assert calls
     for call in calls:
         call.check(call.run())
