@@ -343,8 +343,30 @@ def test_order2_accepts_the_listed_bases():
 
 
 def test_permutation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
         PermutationOracle(2, np.array([0, 1, 1, 3]))
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        [0, 1, -1, 3],  # negative
+        [-4, 1, 2, 3],  # negative, and -4 + 4 would be a valid index
+        [0, 1, 2, 4],  # equal to 2**k
+        [0, 1, 9, 3],  # above 2**k
+        [3, 3, 3, 3],  # every value repeated
+        [0, 2, 2, 3],
+    ],
+)
+def test_permutation_rejects_values_outside_a_bijection(mapping):
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermutationOracle(2, np.array(mapping))
+
+
+@pytest.mark.parametrize("mapping", [[0, 1, 2], [0, 1, 2, 3, 4], [[0, 1], [2, 3]], []])
+def test_permutation_rejects_a_wrong_length(mapping):
+    with pytest.raises(ValueError, match="mapping length"):
+        PermutationOracle(2, np.array(mapping, dtype=np.int64))
 
 
 def test_apply_permutation_with_controls(rng):

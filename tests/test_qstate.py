@@ -32,6 +32,28 @@ def test_basis_state_rejects_bad_input():
         basis_state(0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    amps = np.array([1.0, 0.0, 0.0, bad], dtype=complex)
+    with pytest.raises(ValueError, match="must be finite"):
+        StateVector(2, amps)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "amps",
+    [
+        np.array([1e200, 1e200, 0.0, 0.0]),  # finite, but the norm overflows to inf
+        np.array([1.0, 1.0, 0.0, 0.0]),
+        np.array([0.5, 0.5, 0.5, 0.5 + 1e-6]),
+        np.zeros(4),
+    ],
+)
+def test_state_rejects_unnormalized_amplitudes(amps):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(2, amps)
+
+
 def test_kron_examples():
     assert np.allclose(kron(basis_state(1, 1), basis_state(1, 0)).amps, basis_state(2, 2).amps)
     triple = kron(kron(basis_state(1, 0), basis_state(1, 0)), basis_state(1, 1))
