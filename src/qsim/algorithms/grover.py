@@ -106,6 +106,9 @@ def grover(
 
 def grover_unknown_m(oracle_probe, n: int, seed: int = 0) -> AlgorithmResult:
     """Doubling schedule over guessed marked counts, verifying each sample."""
+    if n < 1:
+        raise ValueError("a search register needs at least one qubit")
+    require_qubits(n)  # before the 2**n probes
     big_n = 1 << n
     marked = [bits for bits in (_bitstring(x, n) for x in range(big_n)) if oracle_probe(bits)]
     rng = np.random.default_rng(seed)

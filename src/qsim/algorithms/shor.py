@@ -63,21 +63,26 @@ def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
 
 
 def order_finding_readout(state: StateVector, a: int, modulus: int, rng) -> AlgorithmResult:
-    """Collapse the work register, inverse-transform the exponent register, read it out.
+    """Measure the work register, inverse-transform the exponent register, read it out.
 
     The tail shared by shor_quantum_part and qpe_order_finding; ``rng`` draws
-    the collapse first and the read-out second.
+    the work value z first and the read-out second. z is drawn from the work
+    register's marginal, as ``measure`` would, but the state is not collapsed:
+    only the exponent register's block conditional on z, the amplitudes
+    ``state.amps[z::2**n]``, is normalized and transformed.
     """
     q, m, n = shor_registers(modulus)
-    record = measure(state, range(m, m + n), rng)
-    z = int(record.outcome, 2)
+    _, work = readout(state, range(m, m + n), rng)
+    z = int(work, 2)
 
-    sub = record.post_state.amps[z :: 1 << n].copy()
-    sub /= np.linalg.norm(sub)
-    first = simulate(inverse_qft_circuit(m), StateVector(m, sub))
+    sub = state.amps[z :: 1 << n]
+    first = simulate(inverse_qft_circuit(m), StateVector(m, sub / np.linalg.norm(sub)))
 
     dist, bits = readout(first, range(m), rng)
-    c = sum(1 for e in range(q) if mod_pow(a, e, modulus) == z)
+    # the powers a**e mod modulus repeat with period r, so z recurs every r exponents from its first
+    r = mult_order(a, modulus)
+    first_exponent = next(e for e in range(r) if mod_pow(a, e, modulus) == z)
+    c = len(range(first_exponent, q, r))
     answer = {"ell": int(bits, 2), "z": z, "q": q, "m": m, "n": n, "c": c}
     return AlgorithmResult(answer=answer, exact_distribution=dist)
 

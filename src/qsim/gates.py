@@ -12,10 +12,17 @@ classified once: a diagonal multiplies only its non-unit slices, a 0/1
 permutation exchanges slices, a dense 1-qubit matrix updates the two
 half-views, and a dense k-qubit matrix is a batch of small matmuls (real
 ones on the float view of the amplitudes when the matrix is real).
+
+A "map" has two branches. On the last k < n qubits, the targets are the
+contiguous trailing axis of the control-selected view, so the kernel gathers
+along it by the inverse mapping, built per call at 2**k entries. On all n
+qubits, or on targets elsewhere, it scatters the moved block by the mapping
+itself, so no 2**n inverse is ever allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +37,9 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 # several threads can stall 8 ms waking them (seen at 16x16 @ 16x256 and up
 # on a 2-vCPU host), while a batch of small products runs on the caller's thread
 _GEMM_SIZE = 1 << 14
+# amplitudes per chunk of a "map" gather: whole-view temporaries of 2^19 amplitudes
+# cost fresh pages on every call, and this size was the fastest at n = 20
+_GATHER_SIZE = 1 << 14
 # widest tiled gate: only products of at most 16 rows stalled, and from 32 rows on one product beat tiles
 _TILED_QUBITS = 4
 
@@ -152,8 +162,12 @@ def rz(phi: float) -> Gate:
     return Gate("Rz", np.array([[np.exp(-1j * phi / 2), 0], [0, np.exp(1j * phi / 2)]]))
 
 
+@functools.lru_cache(maxsize=None)
 def rk_phase(k: int) -> Gate:
-    """Diagonal phase gate diag(1, e^{2 pi i / 2^k}); R1=Z, R2=S, R3=T."""
+    """Diagonal phase gate diag(1, e^{2 pi i / 2^k}); R1=Z, R2=S, R3=T.
+
+    Built and checked once per k: a Gate is frozen and its matrix read-only, so it can be shared.
+    """
     if k < 0:
         raise ValueError("phase index must be nonnegative")
     return Gate(f"R{k}", np.array([[1, 0], [0, np.exp(2j * np.pi / (1 << k))]]))
@@ -161,6 +175,13 @@ def rk_phase(k: int) -> Gate:
 
 def dagger(g: Gate) -> Gate:
     return Gate(g.name + "dg", g.matrix.conj().T)
+
+
+def inverse_permutation(mapping: np.ndarray) -> np.ndarray:
+    """The mapping that undoes ``mapping``, a permutation of range(len(mapping)), by one scatter."""
+    inverse = np.empty_like(mapping)
+    inverse[mapping] = np.arange(len(mapping))
+    return inverse
 
 
 def _tile_length(length: int, k: int) -> int:
@@ -197,19 +218,30 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         tiles = _tiles(block, k)
         tiles[...] = np.matmul(operand, tiles)
         return
-    if kind == "call":
-        # a step acts on the trailing k qubits, which stay the trailing contiguous axis of its view
-        if tuple(targets) != tuple(range(num_qubits - k, num_qubits)):
-            raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
+    trailing = tuple(targets) == tuple(range(num_qubits - k, num_qubits))
+    if kind == "call" and not trailing:
+        raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
+    if kind == "call" or (kind == "map" and trailing and k < num_qubits):
+        # the trailing k qubits stay one contiguous axis of the control-selected (..., 2**k, batch) view
         index = [slice(None)] * (num_qubits - k)
         for q, v in controls:
             index[q] = v
-        lead = amps.reshape([2] * (num_qubits - k) + [1 << k, -1])
-        operand(np.moveaxis(lead[(*index, ...)], -1, -2))
+        view = amps.reshape([2] * (num_qubits - k) + [1 << k, -1])[(*index, ...)]
+        if kind == "call":
+            operand(np.moveaxis(view, -1, -2))
+            return
+        # a gather by the inverse moves the same amplitudes as the scatter below, one
+        # chunk of leading axes at a time, so its temporaries stay small and warm
+        inverse = inverse_permutation(operand)
+        lead = min(view.ndim - 2, max(0, (view.size // _GATHER_SIZE).bit_length() - 1))
+        for chunk_index in np.ndindex(view.shape[:lead]):
+            chunk = view[chunk_index]
+            chunk[...] = np.take(chunk, inverse, axis=-2)
         return
     # the extra unit axis keeps every slice an array, even one amplitude
     moved = _subspace(amps[..., None], num_qubits, targets, controls)
     if kind == "map":
+        # full-width or non-trailing targets: scatter, which needs no inverse of the mapping
         block = moved.reshape(len(operand), -1)
         out = np.empty_like(block)
         out[operand] = block

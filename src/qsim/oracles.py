@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, require_qubits, simulate
-from .gates import GateApplication
+from .gates import GateApplication, inverse_permutation
 from .numtheory import mult_order
 from .qstate import StateVector, _bitstring
 
@@ -148,7 +148,11 @@ class PermutationOracle:
         dim = 1 << self.total_qubits
         if mapping.shape != (dim,):
             raise ValueError("mapping length must be 2**total_qubits")
-        if not np.array_equal(np.sort(mapping), np.arange(dim)):
+        # dim values in range that hit every index form a bijection: one O(dim) scatter, no sort
+        hit = np.zeros(dim, dtype=bool)
+        if mapping.min() >= 0 and mapping.max() < dim:
+            hit[mapping] = True
+        if not hit.all():
             raise ValueError("mapping is not a permutation")
         mapping.setflags(write=False)
         object.__setattr__(self, "mapping", mapping)
@@ -161,7 +165,7 @@ class PermutationOracle:
     def power(self, e: int) -> "PermutationOracle":
         """Composition power by repeated squaring of the mapping; a negative e powers the inverse."""
         if e < 0:
-            return PermutationOracle(self.total_qubits, np.argsort(self.mapping)).power(-e)
+            return PermutationOracle(self.total_qubits, inverse_permutation(self.mapping)).power(-e)
         result = np.arange(1 << self.total_qubits)
         base = self.mapping
         while e:

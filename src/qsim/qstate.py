@@ -51,9 +51,10 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, "
                 f"got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
+        # a non-finite amplitude makes the norm non-finite, so only then is each amplitude scanned
+        if not np.isfinite(norm) and not np.all(np.isfinite(amps.view(float))):
+            raise ValueError("amplitudes must be finite")
         if abs(norm - 1.0) > 1e-8:
             raise ValueError(f"state is not normalized (norm {norm})")
         # keep the invariant tight rather than trusting accumulated arithmetic

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qsim import algorithms as alg
+from qsim.circuit import ResourceLimitError
 from qsim.oracles import And, Not, Or, Var
 
 
@@ -70,6 +71,19 @@ def test_degenerate_marked_majority():
 def test_grover_refuses_an_empty_register(n):
     with pytest.raises(ValueError, match="at least one qubit"):
         alg.grover(["0"], n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_unknown_m_refuses_an_empty_register(n):
+    with pytest.raises(ValueError, match="at least one qubit"):
+        alg.grover_unknown_m(lambda bits: True, n)
+
+
+def test_unknown_m_checks_the_qubit_cap_before_probing():
+    probed = []
+    with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+        alg.grover_unknown_m(lambda bits: probed.append(bits), 40)
+    assert probed == []
 
 
 def test_unknown_m_finds_verified_hit():

@@ -1,6 +1,7 @@
 """Phase estimation, Simon and the one-query drivers against their closed forms, over random inputs.
 
-The laws come from ``perfbench/reference.py``, which uses only ``math`` and
+Phase estimation of a non-dyadic phase follows the Fejer form, written here.
+The other laws come from ``perfbench/reference.py``, which uses only ``math`` and
 NumPy: order finding is |FFT|^2 of the indicator of the drawn residue's
 exponents, the discrete log is 1/r on the line l2 = s*l1, a Simon round is
 uniform on the strings orthogonal to s, and Deutsch-Jozsa and
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsim.algorithms as alg
+from qsim.gates import Gate
 from qsim.oracles import TruthTable, synth_bit_oracle, synth_bv_oracle, synth_multi_oracle, xor_permutation_oracle
+from qsim.qstate import basis_state
 
 from conftest import perfbench_module
 
@@ -26,6 +29,26 @@ SEEDS = st.integers(0, 2**32 - 1)
 
 def law(result, width: int) -> np.ndarray:
     return reference.dist_array(result.exact_distribution.entries, width)
+
+
+def fejer_law(phi: float, m: int) -> np.ndarray:
+    """P(l) = sin^2(pi 2^m d) / (2^2m sin^2(pi d)), d = phi - l/2^m: the read-out law of
+    m-bit phase estimation on an eigenstate with eigenphase phi (no l has d = 0)."""
+    delta = phi - np.arange(1 << m) / (1 << m)
+    return np.sin(np.pi * (1 << m) * delta) ** 2 / ((1 << (2 * m)) * np.sin(np.pi * delta) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))),
+       st.floats(0.01, 0.99), SEEDS)
+def test_qpe_of_a_non_dyadic_phase_follows_the_fejer_law(case, fraction, seed):
+    m, j = case
+    phi = (j + fraction) / (1 << m)  # strictly between two m-bit phases
+    u = Gate("phase", np.diag([1.0, np.exp(2j * np.pi * phi)]))
+    result = alg.qpe(u, basis_state(1, 1), m, seed=seed)
+    want = fejer_law(phi, m)
+    assert np.max(np.abs(law(result, m) - want)) <= LAW_TOL
+    assert want[result.answer] > 0
 
 
 # odd composite moduli with m + n <= 14 exponent and work qubits
