@@ -1,4 +1,4 @@
-"""Shared result envelope and the register read-out every driver ends with."""
+"""Shared result envelope, the opening H layer, and the register read-outs every driver ends with."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..circuit import Circuit, simulate
 from ..qstate import Distribution, StateVector, _bitstring, marginal_probs
 
 
@@ -28,6 +29,14 @@ class GroverGeometry:
     predicted_success: float
 
 
+def h_layer(count: int, width: int) -> Circuit:
+    """A ``width``-qubit circuit with H on each of its first ``count`` qubits."""
+    c = Circuit(width)
+    for q in range(count):
+        c.h(q)
+    return c
+
+
 def readout(state: StateVector, qubits, rng: np.random.Generator | None):
     """Exact marginal law of a register and one draw from it, without collapse.
 
@@ -37,3 +46,19 @@ def readout(state: StateVector, qubits, rng: np.random.Generator | None):
     dist = Distribution("exact", probs / probs.sum())
     bits = None if rng is None else _bitstring(int(rng.choice(probs.size, p=dist.values)), dist.width)
     return dist, bits
+
+
+def conditional_readout(state: StateVector, k: int, transform: Circuit, rng: np.random.Generator):
+    """Read out the last k qubits, then the leading register after ``transform``.
+
+    The trailing value z is drawn with ``readout``, the same single draw from
+    the same marginal as ``qstate.measure``, but the state is not collapsed:
+    only the leading register's block conditional on z, ``state.amps[z::2**k]``,
+    is normalized, transformed and read out. Returns (z, distribution, bitstring).
+    """
+    n = state.num_qubits
+    _, bits = readout(state, range(n - k, n), rng)
+    z = int(bits, 2)
+    block = state.amps[z :: 1 << k]
+    lead = simulate(transform, StateVector(n - k, block / np.linalg.norm(block)))
+    return (z, *readout(lead, range(n - k), rng))

@@ -6,8 +6,8 @@ import numpy as np
 
 from ..circuit import Circuit, simulate
 from ..oracles import TruthTable, synth_bit_oracle, synth_phase_oracle
-from ..qstate import _bitstring, basis_state
-from .common import AlgorithmResult, readout
+from ..qstate import _bitstring
+from .common import AlgorithmResult, h_layer, readout
 
 
 def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
@@ -32,8 +32,7 @@ def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
 def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> AlgorithmResult:
     """Classify a 1-bit function as constant or balanced with one oracle query."""
     c = deutsch_circuit(f, economical)
-    initial = basis_state(1, 0) if economical else basis_state(2, 1)
-    final = simulate(c, initial)
+    final = simulate(c if economical else Circuit(2).x(1).extend(c))  # from |01>
     dist, outcome = readout(final, [0], np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
@@ -42,9 +41,7 @@ def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> Algorithm
 def dj_circuit(oracle: Circuit, n: int) -> Circuit:
     if oracle.num_qubits != n + 1:
         raise ValueError("oracle must act on n input qubits plus one work qubit")
-    c = Circuit(n + 1)
-    for q in range(n + 1):
-        c.h(q)
+    c = h_layer(n + 1, n + 1)
     c.extend(oracle)
     for q in range(n + 1):
         c.h(q)
@@ -53,8 +50,7 @@ def dj_circuit(oracle: Circuit, n: int) -> Circuit:
 
 def deutsch_jozsa(oracle: Circuit, n: int, seed: int = 0) -> AlgorithmResult:
     """Constant iff the first register reads all zeros; promise is not checked."""
-    c = dj_circuit(oracle, n)
-    final = simulate(c, basis_state(n + 1, 1))
+    final = simulate(Circuit(n + 1).x(n).extend(dj_circuit(oracle, n)))  # from |0...01>
     dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     verdict = "constant" if outcome == "0" * n else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
@@ -96,9 +92,7 @@ def _bv_phase_form(oracle: Circuit, n: int) -> Circuit:
 
 def bv_circuit(oracle: Circuit, n: int, economical: bool = False) -> Circuit:
     if economical:
-        c = Circuit(n)
-        for q in range(n):
-            c.h(q)
+        c = h_layer(n, n)
         c.extend(_bv_phase_form(oracle, n))
         for q in range(n):
             c.h(q)
@@ -111,7 +105,6 @@ def bernstein_vazirani(
 ) -> AlgorithmResult:
     """Read the hidden linear string in a single query."""
     c = bv_circuit(oracle, n, economical)
-    initial = basis_state(n, 0) if economical else basis_state(n + 1, 1)
-    final = simulate(c, initial)
+    final = simulate(c if economical else Circuit(n + 1).x(n).extend(c))  # from |0...01>
     dist, outcome = readout(final, range(n), np.random.default_rng(seed))
     return AlgorithmResult(answer=outcome, exact_distribution=dist)

@@ -8,8 +8,8 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, synth_bit_oracle, synth_phase_oracle
-from ..qstate import Distribution, _bitstring, basis_state, kron
-from .common import AlgorithmResult, GroverGeometry, readout
+from ..qstate import Distribution, _bitstring
+from .common import AlgorithmResult, GroverGeometry, h_layer, readout
 
 
 def grover_geometry(n: int, num_marked: int) -> GroverGeometry:
@@ -25,9 +25,7 @@ def grover_geometry(n: int, num_marked: int) -> GroverGeometry:
 
 def diffusion_ops(n: int) -> Circuit:
     """Reflection about the uniform state, up to a global phase: H, flip-at-zero, H."""
-    c = Circuit(n)
-    for q in range(n):
-        c.h(q)
+    c = h_layer(n, n)
     c.extend(synth_phase_oracle(n, ["0" * n]))
     for q in range(n):
         c.h(q)
@@ -39,9 +37,7 @@ def grover_circuit(marked, n: int, iterations: int, variant: str = "economical")
     marked = sorted(marked)
     if variant == "economical":
         oracle = synth_phase_oracle(n, marked)
-        c = Circuit(n)
-        for q in range(n):
-            c.h(q)
+        c = h_layer(n, n)
         for _ in range(iterations):
             c.extend(oracle)
             c.extend(diffusion_ops(n))
@@ -50,9 +46,7 @@ def grover_circuit(marked, n: int, iterations: int, variant: str = "economical")
         marked_set = set(marked)
         table = TruthTable.from_function(n, 1, lambda x: "1" if x in marked_set else "0")
         oracle = synth_bit_oracle(table)
-        c = Circuit(n + 1)
-        for q in range(n):
-            c.h(q)
+        c = h_layer(n, n + 1)
         for _ in range(iterations):
             c.extend(oracle)
             for q in range(n):
@@ -91,11 +85,8 @@ def grover(
         iterations = grover_geometry(n, max(len(marked), 1)).iterations if marked else 0
     c = grover_circuit(marked, n, iterations, variant)
     if variant == "standard":
-        initial = kron(basis_state(n, 0), basis_state(1, 1))
-        minus = Circuit(n + 1).h(n)
-        final = simulate(c, simulate(minus, initial))
-    else:
-        final = simulate(c)
+        c = Circuit(n + 1).x(n).h(n).extend(c)  # the ancilla starts in |->
+    final = simulate(c)
     dist, x = readout(final, range(n), rng)
     return AlgorithmResult(
         answer={"x": x, "degenerate": False},
@@ -153,9 +144,7 @@ def sat_solve(
     rng = np.random.default_rng(seed)
 
     def run_with(iterations: int):
-        c = Circuit(width)
-        for q in range(n_vars):
-            c.h(q)
+        c = h_layer(n_vars, width)
         diff = diffusion_ops(n_vars)
         for _ in range(iterations):
             c.extend(oracle)

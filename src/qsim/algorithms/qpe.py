@@ -1,11 +1,14 @@
 """Phase estimation and its applications: order finding, discrete logarithm,
 and quantum counting.
 
-Each driver runs one circuit: for every operator U, the controlled powers
-C(U**(2**j)) as circuit ops, each built with ``power(2)`` from the one before,
-then each counting register's inverse transform. U is any circuit operator:
-a Gate, a PermutationOracle, or counting's Grover step, which applies U**k in
-closed form.
+Each driver runs one circuit from |0...0>: H on every counting qubit and the
+work register's preparation (X for |1>, H for the uniform state), which
+``simulate`` builds as a product state; then, for every operator U, the
+controlled powers C(U**(2**j)) as circuit ops, each built with ``power(2)``
+from the one before; then each counting register's inverse transform. Only
+``qpe`` starts from a given state, its caller's eigenstate. U is any circuit
+operator: a Gate, a PermutationOracle, or counting's Grover step, which
+applies U**k in closed form.
 """
 
 from __future__ import annotations
@@ -18,42 +21,44 @@ import numpy as np
 from ..circuit import Circuit, require_qubits, simulate
 from ..numtheory import mod_pow, mult_order
 from ..oracles import modmul_oracle
-from ..qstate import StateVector, basis_state, kron
-from .common import AlgorithmResult, readout
+from ..qstate import StateVector, kron
+from .common import AlgorithmResult, h_layer, readout
 from .qft import inverse_qft_registers
 from .shor import order_finding_readout, shor_registers
 
 
-def _qpe_state(us, eigenstate: StateVector, m: int, transform: bool = True) -> StateVector:
-    """One uniform m-qubit counting register per operator, then one circuit on the whole state.
+def _qpe_circuit(us, m: int, n: int, transform: bool = True) -> Circuit:
+    """Phase estimation after its registers are prepared, as one circuit.
 
-    The circuit applies C(U^(2^j)) with control i*m+m-1-j, j < m, for the i-th
-    operator U of ``us``, on the work register after the counting registers,
-    and then, with ``transform``, each counting register's inverse transform.
+    One m-qubit counting register per operator comes first, then the n-qubit
+    work register. The circuit applies C(U^(2^j)) with control i*m+m-1-j,
+    j < m, for the i-th operator U of ``us``, and then, with ``transform``,
+    each counting register's inverse transform.
     """
     width = len(us) * m
-    n = width + eigenstate.num_qubits
-    require_qubits(n)
-    layer = Circuit(width)
-    for q in range(width):
-        layer.h(q)
-    c = Circuit(n)
-    work = tuple(range(width, n))
+    c = Circuit(width + n)
+    work = tuple(range(width, width + n))
     for i, u in enumerate(us):
         for j in range(m):
             if j:
                 u = u.power(2)
             c.append(u, work, ((i * m + m - 1 - j, 1),))
     if transform:
-        c.extend(inverse_qft_registers(m, n, range(0, width, m)))
-    return simulate(c, kron(simulate(layer), eigenstate))
+        c.extend(inverse_qft_registers(m, width + n, range(0, width, m)))
+    return c
+
+
+def _require_counting_qubits(m: int) -> None:
+    if m < 1:
+        raise ValueError("the counting register needs at least one qubit")
 
 
 def qpe(u, eigenstate: StateVector, m: int, seed: int = 0) -> AlgorithmResult:
     """Estimate the eigenphase of u on ``eigenstate`` with m fractional bits."""
-    if m < 1:
-        raise ValueError("the counting register needs at least one qubit")
-    state = _qpe_state((u,), eigenstate, m)
+    _require_counting_qubits(m)
+    n = eigenstate.num_qubits
+    require_qubits(m + n)  # before the kron below
+    state = simulate(_qpe_circuit((u,), m, n), kron(simulate(h_layer(m, m)), eigenstate))
     dist, bits = readout(state, range(m), np.random.default_rng(seed))
     return AlgorithmResult(answer=int(bits, 2), exact_distribution=dist)
 
@@ -68,9 +73,10 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     _, m, n = shor_registers(modulus)
-    require_qubits(m + n)  # before the work-register oracle, too
+    require_qubits(m + n)  # before the work-register oracle
     rng = np.random.default_rng(seed)
-    state = _qpe_state((modmul_oracle(a, modulus),), basis_state(n, 1), m, transform=False)
+    c = h_layer(m, m + n).x(m + n - 1)  # the work register starts in |1>
+    state = simulate(c.extend(_qpe_circuit((modmul_oracle(a, modulus),), m, n, transform=False)))
     return order_finding_readout(state, a, modulus, rng)
 
 
@@ -80,13 +86,15 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     The classical read-out recovers the logarithm only when the order of a is
     a power of 2 and m matches it; otherwise the joint law is the answer.
     """
+    _require_counting_qubits(m)
     r = mult_order(a, modulus)
     if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
         raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
-    require_qubits(2 * m + n)  # before the work-register oracles, too
+    require_qubits(2 * m + n)  # before the work-register oracles
     rng = np.random.default_rng(seed)
-    state = _qpe_state((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), basis_state(n, 1), m)
+    c = h_layer(2 * m, 2 * m + n).x(2 * m + n - 1)  # the work register starts in |1>
+    state = simulate(c.extend(_qpe_circuit((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), m, n)))
     dist, joint = readout(state, range(2 * m), rng)
     phi1, phi2 = int(joint[:m], 2), int(joint[m:], 2)
     s = None
@@ -149,6 +157,7 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
     """Estimate the marked-set size as N sin^2(pi * read-out / 2^m)."""
     if m is None:
         m = math.ceil(n / 2) + 1
+    _require_counting_qubits(m)
     marked = sorted(set(marked))
     for bits in marked:
         if len(bits) != n or set(bits) - {"0", "1"}:
@@ -157,8 +166,8 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
     step = _GroverStep(n, marked)
 
     big_n = 1 << n
-    uniform = StateVector(n, np.full(big_n, 1.0 / math.sqrt(big_n), dtype=complex))
-    state = _qpe_state((step,), uniform, m)
+    # H on every qubit: the counting register and the uniform work register
+    state = simulate(h_layer(m + n, m + n).extend(_qpe_circuit((step,), m, n)))
     dist, bits = readout(state, range(m), np.random.default_rng(seed))
     phi_tilde = int(bits, 2)
     estimate = big_n * math.sin(math.pi * phi_tilde / (1 << m)) ** 2

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..circuit import Circuit, require_qubits, simulate
+from ..circuit import require_qubits, simulate
 from ..numtheory import (
     best_order_candidate,
     is_perfect_power,
@@ -19,12 +19,11 @@ from ..numtheory import (
 from ..oracles import (
     PermutationOracle,
     _xor_oracle,
-    apply_permutation,
     modexp_oracle,
     smallest_power_of_two_above,
 )
-from ..qstate import Distribution, StateVector, measure
-from .common import AlgorithmResult, readout
+from ..qstate import Distribution, StateVector
+from .common import AlgorithmResult, conditional_readout, h_layer
 from .qft import inverse_qft_circuit, inverse_qft_registers
 
 
@@ -36,15 +35,8 @@ def shor_registers(modulus: int):
     return q, m, n
 
 
-def _uniform_exponent_state(m: int, n: int) -> StateVector:
-    require_qubits(m + n)
-    amps = np.zeros(1 << (m + n), dtype=complex)
-    amps[:: 1 << n][: 1 << m] = 1.0 / math.sqrt(1 << m)
-    return StateVector(m + n, amps)
-
-
 def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
-    """One quantum round of order finding.
+    """One quantum round of order finding: H on the exponent register, then the modexp oracle.
 
     The returned distribution over the exponent register is exact and
     conditional on the measured work-register value z; the answer payload
@@ -55,30 +47,23 @@ def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     q, m, n = shor_registers(modulus)
+    require_qubits(m + n)  # before the 2**(m+n) oracle mapping
     rng = np.random.default_rng(seed)
 
-    state = _uniform_exponent_state(m, n)
-    state = apply_permutation(state, modexp_oracle(a, modulus, q))
-    return order_finding_readout(state, a, modulus, rng)
+    c = h_layer(m, m + n).append(modexp_oracle(a, modulus, q), range(m + n))
+    return order_finding_readout(simulate(c), a, modulus, rng)
 
 
 def order_finding_readout(state: StateVector, a: int, modulus: int, rng) -> AlgorithmResult:
     """Measure the work register, inverse-transform the exponent register, read it out.
 
     The tail shared by shor_quantum_part and qpe_order_finding; ``rng`` draws
-    the work value z first and the read-out second. z is drawn from the work
-    register's marginal, as ``measure`` would, but the state is not collapsed:
-    only the exponent register's block conditional on z, the amplitudes
-    ``state.amps[z::2**n]``, is normalized and transformed.
+    the work value z first and the read-out second, through
+    ``conditional_readout``, which transforms only the exponent register's
+    block conditional on z.
     """
     q, m, n = shor_registers(modulus)
-    _, work = readout(state, range(m, m + n), rng)
-    z = int(work, 2)
-
-    sub = state.amps[z :: 1 << n]
-    first = simulate(inverse_qft_circuit(m), StateVector(m, sub / np.linalg.norm(sub)))
-
-    dist, bits = readout(first, range(m), rng)
+    z, dist, bits = conditional_readout(state, n, inverse_qft_circuit(m), rng)
     # the powers a**e mod modulus repeat with period r, so z recurs every r exponents from its first
     r = mult_order(a, modulus)
     first_exponent = next(e for e in range(r) if mod_pow(a, e, modulus) == z)
@@ -203,16 +188,8 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     rng = np.random.default_rng(seed)
 
     width = 2 * m + n
-    oracle = _dlog_function_oracle(modulus, a, b, m, n)
-    c = Circuit(width)
-    for q in range(2 * m):
-        c.h(q)
-    c.append(oracle, range(width))
-    record = measure(simulate(c), range(2 * m, width), rng)
-
-    state = simulate(inverse_qft_registers(m, width, (0, m)), record.post_state)
-
-    dist, joint = readout(state, range(2 * m), rng)
+    c = h_layer(2 * m, width).append(_dlog_function_oracle(modulus, a, b, m, n), range(width))
+    _, dist, joint = conditional_readout(simulate(c), n, inverse_qft_registers(m, 2 * m, (0, m)), rng)
     r1, r2 = int(joint[:m], 2), int(joint[m:], 2)
     if math.gcd(r1, r) == 1:
         s = r2 * mod_inverse(r1, r) % r

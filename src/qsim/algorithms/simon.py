@@ -7,49 +7,37 @@ import numpy as np
 from ..circuit import Circuit, require_qubits, simulate
 from ..gf2 import BitMatrix, InsufficientRankError, rank, simon_postprocess
 from ..oracles import PermutationOracle
-from ..qstate import StateVector, basis_state, measure
-from .common import AlgorithmResult, readout
+from .common import AlgorithmResult, conditional_readout, h_layer, readout
 
 
-def _post_oracle_state(oracle, n: int) -> StateVector:
-    """Uniform first register through the oracle, second register |0...0>: one circuit."""
+def _round_circuit(oracle, n: int) -> Circuit:
+    """Uniform first register through the oracle, from |0...0>: one circuit."""
     require_qubits(2 * n)
     if isinstance(oracle, PermutationOracle):
         oracle = Circuit(oracle.total_qubits).append(oracle, range(oracle.total_qubits))
     if oracle.num_qubits != 2 * n:
         raise ValueError("oracle width must be 2n qubits")
-    c = Circuit(2 * n)
-    for q in range(n):
-        c.h(q)
-    return simulate(c.extend(oracle), basis_state(2 * n, 0))
-
-
-def _hadamard_first_register(state: StateVector, n: int) -> StateVector:
-    c = Circuit(2 * n)
-    for q in range(n):
-        c.h(q)
-    return simulate(c, state)
+    return h_layer(n, 2 * n).extend(oracle)
 
 
 def simon_round_distribution(oracle, n: int):
     """Exact first-register law of one quantum round (collapse-independent)."""
-    state = _post_oracle_state(oracle, n)
-    state = _hadamard_first_register(state, n)
+    state = simulate(_round_circuit(oracle, n).extend(h_layer(n, 2 * n)))
     return readout(state, range(n), None)[0]
 
 
-def simon_round(oracle, n: int, rng: np.random.Generator, _base: StateVector | None = None) -> str:
-    """One quantum round: returns an n-bit string orthogonal to the hidden one."""
-    state = _base if _base is not None else _post_oracle_state(oracle, n)
-    record = measure(state, range(n, 2 * n), rng)
-    state = _hadamard_first_register(record.post_state, n)
-    return readout(state, range(n), rng)[1]
+def simon_round(oracle, n: int, rng: np.random.Generator) -> str:
+    """One quantum round: returns an n-bit string orthogonal to the hidden one.
+
+    The second register is measured, then the first goes through H and is read out.
+    """
+    return conditional_readout(simulate(_round_circuit(oracle, n)), n, h_layer(n, n), rng)[2]
 
 
 def simon_batch(oracle, n: int, rng: np.random.Generator):
     """n-1 quantum rounds; returns (equations, has_full_rank)."""
-    base = _post_oracle_state(oracle, n)  # deterministic up to the collapse
-    rows = [simon_round(oracle, n, rng, _base=base) for _ in range(n - 1)]
+    state, transform = simulate(_round_circuit(oracle, n)), h_layer(n, n)
+    rows = [conditional_readout(state, n, transform, rng)[2] for _ in range(n - 1)]
     # the width is n even when n = 1 leaves no rows to infer it from
     equations = BitMatrix(n, tuple(int(bits, 2) for bits in rows))
     return equations, rank(equations) == n - 1

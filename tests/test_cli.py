@@ -181,6 +181,7 @@ def test_bad_argument_values_exit_2(capsys):
         ["grover", "--n", "-1", "--marked", "0"],
         ["count", "--n", "0", "--marked", "0"],
         ["count", "--n", "-1", "--marked", "0"],
+        ["count", "--n", "2", "--marked", "01", "--m", "0"],
         ["dlog", "--N", "21", "--a", "2", "--b", "4"],
     ):
         assert exit_code(argv) == 2, argv

@@ -137,6 +137,23 @@ def test_fused_simulation_matches_op_by_op_reference(c, seed):
     fast = simulate(c, psi).amps
     slow = reference_run(psi.amps, c)
     assert np.max(np.abs(fast - slow)) <= TOL
+    # from |0...0>, any leading run of 1-qubit gates is built as a product state
+    zero = np.zeros(1 << c.num_qubits)
+    zero[0] = 1.0
+    assert np.max(np.abs(simulate(c).amps - reference_run(zero, c))) <= TOL
+
+
+def test_product_prefix_runs_no_kernel(monkeypatch):
+    """Counted, not timed: an H layer from |0...0> is a product state, built without a kernel."""
+    calls = []
+    monkeypatch.setattr(qsim.circuit, "apply_kernel", lambda *args: calls.append(args))
+    n = 16
+    c = Circuit(n)
+    for q in range(n):
+        c.h(q)
+    amps = simulate(c).amps
+    assert calls == []
+    assert np.max(np.abs(amps - 2 ** (-n / 2))) <= TOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,10 +270,12 @@ def test_real_blocks_are_applied_as_real_products(monkeypatch):
     for q in range(12):
         c.h(q)
     blocks = [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)]
-    simulate(c)
+    # from |0...0> the layer would be built as a product state, so start elsewhere
+    psi = random_state(12, np.random.default_rng(8))
+    simulate(c, psi)
     assert seen == [(b, np.float64) for b in blocks]
     seen.clear()
-    simulate(c.append(standard_gate("S"), (5,)))
+    simulate(c.append(standard_gate("S"), (5,)), psi)
     assert seen == [(blocks[0], np.float64), (blocks[1], np.complex128), (blocks[2], np.float64)]
 
 

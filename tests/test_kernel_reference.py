@@ -1,7 +1,9 @@
 """The strided permutation and collapse kernels against the index-arithmetic references.
 
 Agreement is exact: same amplitudes bit for bit, same outcome and probability,
-and the generator left in the same state.
+and the generator left in the same state. The drivers' read-out, which
+transforms only the block conditional on the measured value, must draw the
+same values as a full collapse followed by the transform.
 """
 
 import numpy as np
@@ -10,12 +12,14 @@ import qsim.gates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsim.algorithms.common import conditional_readout
 from qsim.circuit import Circuit, simulate, unitary_of
 from qsim.oracles import PermutationOracle, apply_permutation
 from qsim.qstate import StateVector, measure
 
 from conftest import random_state
 from slow_reference import reference_apply_permutation, reference_measure, reference_run
+from test_gate_kernels import circuits
 
 
 @st.composite
@@ -67,6 +71,30 @@ def test_measure_matches_reference(s, data, seed):
     assert fast.probability == slow.probability
     assert np.array_equal(fast.post_state.amps, slow.post_state.amps)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(max_qubits=5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_conditional_readout_matches_collapse_then_transform(transform, k, seed, sparse):
+    n = transform.num_qubits + k
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    if sparse:
+        # some trailing values then have probability zero
+        amps[rng.random(1 << n) < 0.5] = 0
+        amps[0] += 1
+    s = StateVector(n, amps / np.linalg.norm(amps))
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    z, dist, bits = conditional_readout(s, k, transform, fast_rng)
+
+    record = reference_measure(s, range(n - k, n), slow_rng)
+    collapsed = reference_run(record.post_state.amps, Circuit(n, transform.ops))
+    law = (np.abs(collapsed.reshape(-1, 1 << k)) ** 2).sum(axis=1)
+    draw = int(slow_rng.choice(law.size, p=law / law.sum()))
+    assert z == int(record.outcome, 2)
+    assert bits == format(draw, f"0{n - k}b")
+    assert np.max(np.abs(dist.values - law)) <= 1e-12
 
 
 # control polarities cycled through the cases: none, one of each, two of each, and mixed

@@ -111,6 +111,21 @@ def test_qpe_rejects_an_operator_of_the_wrong_width():
         alg.qpe(rk_phase(2), basis_state(2, 1), 2)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m: alg.qpe(rk_phase(3), basis_state(1, 1), m),
+        lambda m: alg.qpe_dlog(34, 27, 3, m),
+        lambda m: alg.quantum_counting(["01"], 2, m=m),
+    ],
+    ids=["qpe", "qpe_dlog", "quantum_counting"],
+)
+@pytest.mark.parametrize("m", [0, -1])
+def test_phase_estimation_refuses_an_empty_counting_register(run, m):
+    with pytest.raises(ValueError, match="the counting register needs at least one qubit"):
+        run(m)
+
+
 # --- order finding via phase estimation ------------------------------------
 
 

@@ -41,12 +41,6 @@ def test_require_qubits_at_and_over_the_cap(monkeypatch):
         require_qubits(6)
 
 
-def test_exponent_state(monkeypatch):
-    cap(monkeypatch, 4)
-    with pytest.raises(ResourceLimitError):
-        shor_mod._uniform_exponent_state(3, 2)
-
-
 def test_shor_round_refused_before_the_oracle(monkeypatch):
     cap(monkeypatch, 12)
     tripwire(monkeypatch, shor_mod, "modexp_oracle")
@@ -127,6 +121,6 @@ def test_sat_refused_before_the_search_circuit(monkeypatch):
 def test_simon_refused_before_the_state(monkeypatch):
     table = TruthTable.from_function(3, 3, lambda x: format(min(int(x, 2), int(x, 2) ^ 0b110), "03b"))
     cap(monkeypatch, 5)
-    tripwire(monkeypatch, simon_mod, "basis_state")
+    tripwire(monkeypatch, simon_mod, "simulate")
     with pytest.raises(ResourceLimitError):
         alg.simon(xor_permutation_oracle(table), 3, lambda x: table.rows[int(x, 2)])
