@@ -36,7 +36,8 @@ def simon_round(oracle, n: int, rng: np.random.Generator) -> str:
 
 def simon_batch(oracle, n: int, rng: np.random.Generator):
     """n-1 quantum rounds; returns (equations, has_full_rank)."""
-    state, transform = simulate(_round_circuit(oracle, n)), h_layer(n, n)
+    state = simulate(_round_circuit(oracle, n))  # deterministic up to the read-out
+    transform = h_layer(n, n)
     rows = [conditional_readout(state, n, transform, rng)[2] for _ in range(n - 1)]
     # the width is n even when n = 1 leaves no rows to infer it from
     equations = BitMatrix(n, tuple(int(bits, 2) for bits in rows))
