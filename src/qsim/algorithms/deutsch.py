@@ -21,19 +21,23 @@ def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
         c.extend(oracle)
         c.h(0)
         return c.measure([0])
-    oracle = synth_bit_oracle(f)
-    c = Circuit(2)
-    c.h(0).h(1)
-    c.extend(oracle)
-    c.h(0).h(1)
-    return c.measure([0])
+    return dj_circuit(synth_bit_oracle(f), 1)
+
+
+def _one_query(c: Circuit, n: int, seed: int):
+    """Run c and read out its first n qubits: (distribution, bitstring).
+
+    A work qubit after the n inputs starts in |1>, so the run starts from |0...01>.
+    """
+    start = Circuit(c.num_qubits)
+    if c.num_qubits > n:
+        start.x(n)
+    return readout(simulate(start.extend(c)), range(n), np.random.default_rng(seed))
 
 
 def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> AlgorithmResult:
     """Classify a 1-bit function as constant or balanced with one oracle query."""
-    c = deutsch_circuit(f, economical)
-    final = simulate(c if economical else Circuit(2).x(1).extend(c))  # from |01>
-    dist, outcome = readout(final, [0], np.random.default_rng(seed))
+    dist, outcome = _one_query(deutsch_circuit(f, economical), 1, seed)
     verdict = "constant" if outcome == "0" else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
 
@@ -50,8 +54,7 @@ def dj_circuit(oracle: Circuit, n: int) -> Circuit:
 
 def deutsch_jozsa(oracle: Circuit, n: int, seed: int = 0) -> AlgorithmResult:
     """Constant iff the first register reads all zeros; promise is not checked."""
-    final = simulate(Circuit(n + 1).x(n).extend(dj_circuit(oracle, n)))  # from |0...01>
-    dist, outcome = readout(final, range(n), np.random.default_rng(seed))
+    dist, outcome = _one_query(dj_circuit(oracle, n), n, seed)
     verdict = "constant" if outcome == "0" * n else "balanced"
     return AlgorithmResult(answer=verdict, exact_distribution=dist)
 
@@ -104,7 +107,5 @@ def bernstein_vazirani(
     oracle: Circuit, n: int, economical: bool = False, seed: int = 0
 ) -> AlgorithmResult:
     """Read the hidden linear string in a single query."""
-    c = bv_circuit(oracle, n, economical)
-    final = simulate(c if economical else Circuit(n + 1).x(n).extend(c))  # from |0...01>
-    dist, outcome = readout(final, range(n), np.random.default_rng(seed))
+    dist, outcome = _one_query(bv_circuit(oracle, n, economical), n, seed)
     return AlgorithmResult(answer=outcome, exact_distribution=dist)

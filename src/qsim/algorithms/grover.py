@@ -7,7 +7,8 @@ import math
 import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
-from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, synth_bit_oracle, synth_phase_oracle
+from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, require_bitstrings
+from ..oracles import synth_bit_oracle, synth_phase_oracle
 from ..qstate import Distribution, _bitstring
 from .common import AlgorithmResult, GroverGeometry, h_layer, readout
 
@@ -70,6 +71,7 @@ def grover(
         raise ValueError("a search register needs at least one qubit")
     require_qubits(n + 1 if variant == "standard" else n)
     marked = sorted(set(marked))
+    require_bitstrings(marked, n)
     big_n = 1 << n
     rng = np.random.default_rng(seed)
     if t_override is None and len(marked) > big_n // 2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..numtheory import mod_pow, mult_order
-from ..oracles import modmul_oracle
+from ..oracles import modmul_oracle, require_bitstrings
 from ..qstate import StateVector, kron
 from .common import AlgorithmResult, h_layer, readout
 from .qft import inverse_qft_registers
@@ -159,9 +159,7 @@ def quantum_counting(marked, n: int, m: int | None = None, seed: int = 0) -> Alg
         m = math.ceil(n / 2) + 1
     _require_counting_qubits(m)
     marked = sorted(set(marked))
-    for bits in marked:
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
+    require_bitstrings(marked, n)
     require_qubits(m + n)
     step = _GroverStep(n, marked)
 

@@ -7,6 +7,7 @@ import numpy as np
 from ..circuit import Circuit, require_qubits, simulate
 from ..gf2 import BitMatrix, InsufficientRankError, rank, simon_postprocess
 from ..oracles import PermutationOracle
+from ..qstate import StateVector
 from .common import AlgorithmResult, conditional_readout, h_layer, readout
 
 
@@ -20,10 +21,14 @@ def _round_circuit(oracle, n: int) -> Circuit:
     return h_layer(n, 2 * n).extend(oracle)
 
 
+def _round_law(state: StateVector, n: int):
+    """Exact first-register law of a round, from its post-oracle state: H on the first register."""
+    return readout(simulate(h_layer(n, 2 * n), state), range(n), None)[0]
+
+
 def simon_round_distribution(oracle, n: int):
     """Exact first-register law of one quantum round (collapse-independent)."""
-    state = simulate(_round_circuit(oracle, n).extend(h_layer(n, 2 * n)))
-    return readout(state, range(n), None)[0]
+    return _round_law(simulate(_round_circuit(oracle, n)), n)
 
 
 def simon_round(oracle, n: int, rng: np.random.Generator) -> str:
@@ -34,9 +39,8 @@ def simon_round(oracle, n: int, rng: np.random.Generator) -> str:
     return conditional_readout(simulate(_round_circuit(oracle, n)), n, h_layer(n, n), rng)[2]
 
 
-def simon_batch(oracle, n: int, rng: np.random.Generator):
-    """n-1 quantum rounds; returns (equations, has_full_rank)."""
-    state = simulate(_round_circuit(oracle, n))  # deterministic up to the read-out
+def _batch(state: StateVector, n: int, rng: np.random.Generator):
+    """n-1 rounds read out of one post-oracle state; returns (equations, has_full_rank)."""
     transform = h_layer(n, n)
     rows = [conditional_readout(state, n, transform, rng)[2] for _ in range(n - 1)]
     # the width is n even when n = 1 leaves no rows to infer it from
@@ -44,15 +48,21 @@ def simon_batch(oracle, n: int, rng: np.random.Generator):
     return equations, rank(equations) == n - 1
 
 
+def simon_batch(oracle, n: int, rng: np.random.Generator):
+    """n-1 quantum rounds; returns (equations, has_full_rank)."""
+    return _batch(simulate(_round_circuit(oracle, n)), n, rng)
+
+
 def simon(
     oracle, n: int, f_probe, max_restarts: int = 32, seed: int = 0
 ) -> AlgorithmResult:
     """Full driver: batches of n-1 rounds until the GF(2) system determines s."""
     rng = np.random.default_rng(seed)
-    dist = simon_round_distribution(oracle, n)
+    state = simulate(_round_circuit(oracle, n))  # deterministic up to the read-out
+    dist = _round_law(state, n)
     rounds = 0
     for _ in range(max_restarts):
-        equations, full_rank = simon_batch(oracle, n, rng)
+        equations, full_rank = _batch(state, n, rng)
         rounds += n - 1
         if not full_rank:
             continue

@@ -10,36 +10,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import algorithms
 from .circuit import MAX_SHOTS, ResourceLimitError, unitary_of
-from .oracles import And, BooleanExpr, Not, Or, TruthTable, Var, Xor, xor_permutation_oracle
+from .oracles import And, BooleanExpr, Not, Or, TruthTable, Var, Xor
+from .oracles import synth_bit_oracle, synth_bv_oracle, xor_permutation_oracle
 from .qstate import _bitstring
-
-
-@dataclass
-class RunReport:
-    algorithm: str
-    parameters: dict
-    answer: object
-    distribution: list | None
-    seed: int
-    shots: int | None
-    wall_time_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "parameters": self.parameters,
-            "answer": self.answer,
-            "distribution": self.distribution,
-            "seed": self.seed,
-            "shots": self.shots,
-            "wall_time_ms": self.wall_time_ms,
-        }
 
 
 def _top_entries(dist, top: int, shots: int | None, seed: int) -> list | None:
@@ -63,14 +42,14 @@ def _top_entries(dist, top: int, shots: int | None, seed: int) -> list | None:
     return [{"bitstring": _bitstring(i, dist.width), "value": v} for v, i in ordered[:top]]
 
 
-def _print_report(report: RunReport, as_json: bool) -> None:
+def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(report))
         return
-    print(f"{report.algorithm}: answer = {report.answer}")
-    if report.distribution:
-        peak = max(entry["value"] for entry in report.distribution)
-        for entry in report.distribution:
+    print(f"{report['algorithm']}: answer = {report['answer']}")
+    if report["distribution"]:
+        peak = max(entry["value"] for entry in report["distribution"])
+        for entry in report["distribution"]:
             bar = "#" * max(1, int(40 * entry["value"] / peak)) if peak else ""
             print(f"  {entry['bitstring']}  {entry['value']:<12.6g} {bar}")
 
@@ -167,178 +146,157 @@ def _marked_argument(csv: str, n: int) -> list:
     return marked
 
 
-def _simon_table(args) -> TruthTable:
+def _deutsch(args):
+    bits = _bits_argument(args.f, "--f")
+    if len(bits) != 2:
+        _usage_error("--f wants exactly two bits")
+    res = algorithms.deutsch(TruthTable(1, 1, (bits[0], bits[1])), economical=args.economical, seed=args.seed)
+    return {"f": bits, "economical": args.economical}, res
+
+
+def _dj(args):
+    with open(args.table, "r", encoding="ascii") as handle:
+        table = TruthTable.from_text(handle.read())
+    if table.n_out != 1:
+        _usage_error("dj wants a single-output table")
+    res = algorithms.deutsch_jozsa(synth_bit_oracle(table), table.n_in, seed=args.seed)
+    return {"table": args.table, "n": table.n_in}, res
+
+
+def _bv(args):
+    s = _bits_argument(args.s, "--s")
+    res = algorithms.bernstein_vazirani(synth_bv_oracle(s), len(s), economical=args.economical, seed=args.seed)
+    return {"s": s, "economical": args.economical}, res
+
+
+def _simon(args):
+    if (args.s is None) == (args.table is None):
+        _usage_error("give exactly one of --s or --table")
     if args.table:
         with open(args.table, "r", encoding="ascii") as handle:
-            return TruthTable.from_text(handle.read())
-    s = _bits_argument(args.s, "--s")
-    if int(s, 2) == 0:
-        _usage_error("the hidden string must be nonzero")
-    n = len(s)
-    s_int = int(s, 2)
-    return TruthTable.from_function(
-        n, n, lambda x: _bitstring(min(int(x, 2), int(x, 2) ^ s_int), n)
-    )
+            table = TruthTable.from_text(handle.read())
+    else:
+        s = _bits_argument(args.s, "--s")
+        if int(s, 2) == 0:
+            _usage_error("the hidden string must be nonzero")
+        n, s_int = len(s), int(s, 2)
+        table = TruthTable.from_function(n, n, lambda x: _bitstring(min(int(x, 2), int(x, 2) ^ s_int), n))
+    oracle = xor_permutation_oracle(table)
+    res = algorithms.simon(oracle, table.n_in, lambda x: table.rows[int(x, 2)], seed=args.seed)
+    return {"n": table.n_in, "s": args.s, "table": args.table}, res
+
+
+def _grover(args):
+    marked = _marked_argument(args.marked, args.n)
+    res = algorithms.grover(marked, args.n, variant=args.variant, seed=args.seed)
+    return {"n": args.n, "marked": marked, "variant": args.variant}, res
+
+
+def _sat(args):
+    expr, n_vars = parse_bool_expr(args.expr)
+    res = algorithms.sat_solve(expr, n_vars, m_known=args.m_known, seed=args.seed)
+    return {"expr": args.expr, "n_vars": n_vars, "m_known": args.m_known}, res
+
+
+def _shor(args):
+    mode = "las_vegas" if args.mode == "lv" else "monte_carlo"
+    res = algorithms.shor_factor(args.N, mode=mode, seed=args.seed, base=args.a)
+    return {"N": args.N, "a": args.a, "mode": mode}, res
+
+
+def _count(args):
+    marked = _marked_argument(args.marked, args.n)
+    res = algorithms.quantum_counting(marked, args.n, m=args.m, seed=args.seed)
+    return {"n": args.n, "marked": marked, "m": args.m}, res
+
+
+def _qft_check(args):
+    c = algorithms.qft_circuit(args.n)
+    max_error = None
+    if args.n <= 12:
+        dim = 1 << args.n
+        omega = np.exp(2j * np.pi / dim)
+        direct = omega ** (np.outer(np.arange(dim), np.arange(dim))) / np.sqrt(dim)
+        max_error = float(np.max(np.abs(unitary_of(c) - direct)))
+    return {"n": args.n}, algorithms.AlgorithmResult({"gate_count": len(c.ops), "max_error": max_error})
+
+
+def _dlog(args):
+    res = algorithms.shor_dlog_pow2(args.N, args.a, args.b, seed=args.seed)
+    return {"N": args.N, "a": args.a, "b": args.b}, res
+
+
+def _qpe_order(args):
+    res = algorithms.qpe_order_finding(args.a, args.N, seed=args.seed)
+    return {"N": args.N, "a": args.a}, res
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable  # args -> (parameters, AlgorithmResult); refuses bad values with _usage_error
+    key: str | None  # the answer field the report prints; None prints the whole answer
+    arguments: dict  # flag -> add_argument keywords, before the four flags every command takes
+
+
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+
+COMMANDS = {
+    "deutsch": Command("constant-vs-balanced on one bit", _deutsch, None, {
+        "--f": {"required": True, "help": "two bits: f(0)f(1)"}, "--economical": _FLAG,
+    }),
+    "dj": Command("constant-vs-balanced on n bits", _dj, None, {
+        "--table": {"required": True, "help": "truth-table file, n_out=1"},
+    }),
+    "bv": Command("hidden linear string", _bv, None, {"--s": _REQUIRED, "--economical": _FLAG}),
+    "simon": Command("hidden xor mask", _simon, None, {
+        "--s": {"default": None}, "--table": {"default": None, "help": "truth-table file, n_out=n_in"},
+    }),
+    "grover": Command("search for marked strings", _grover, "x", {
+        "--n": _INT,
+        "--marked": {"required": True, "help": "comma-separated strings or ints"},
+        "--variant": {"choices": ("economical", "standard"), "default": "economical"},
+    }),
+    "sat": Command("satisfy a Boolean formula", _sat, None, {
+        "--expr": _REQUIRED, "--m-known": {"type": int, "default": None},
+    }),
+    "shor": Command("factor an integer", _shor, None, {
+        "--N": _INT,
+        "--a": {"type": int, "default": None, "help": "pin the exponentiation base"},
+        "--mode": {"choices": ("lv", "mc"), "default": "lv"},
+    }),
+    "dlog": Command("discrete logarithm, order a power of 2", _dlog, "s", {
+        "--N": _INT, "--a": _INT, "--b": _INT,
+    }),
+    "qpe-order": Command("order finding via phase estimation", _qpe_order, "ell", {"--N": _INT, "--a": _INT}),
+    "count": Command("estimate the number of marked strings", _count, "estimate", {
+        "--n": _INT, "--marked": _REQUIRED, "--m": {"type": int, "default": None},
+    }),
+    "qft-check": Command("transform circuit vs the direct matrix", _qft_check, None, {"--n": _INT}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.arguments.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--json", action="store_true")
         p.add_argument("--top", type=int, default=16)
-
-    p = sub.add_parser("deutsch", help="constant-vs-balanced on one bit")
-    p.add_argument("--f", required=True, help="two bits: f(0)f(1)")
-    p.add_argument("--economical", action="store_true")
-    common(p)
-
-    p = sub.add_parser("dj", help="constant-vs-balanced on n bits")
-    p.add_argument("--table", required=True, help="truth-table file, n_out=1")
-    common(p)
-
-    p = sub.add_parser("bv", help="hidden linear string")
-    p.add_argument("--s", required=True)
-    p.add_argument("--economical", action="store_true")
-    common(p)
-
-    p = sub.add_parser("simon", help="hidden xor mask")
-    p.add_argument("--s", default=None)
-    p.add_argument("--table", default=None, help="truth-table file, n_out=n_in")
-    common(p)
-
-    p = sub.add_parser("grover", help="search for marked strings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--marked", required=True, help="comma-separated strings or ints")
-    p.add_argument("--variant", choices=("economical", "standard"), default="economical")
-    common(p)
-
-    p = sub.add_parser("sat", help="satisfy a Boolean formula")
-    p.add_argument("--expr", required=True)
-    p.add_argument("--m-known", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("shor", help="factor an integer")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, default=None, help="pin the exponentiation base")
-    p.add_argument("--mode", choices=("lv", "mc"), default="lv")
-    common(p)
-
-    p = sub.add_parser("dlog", help="discrete logarithm, order a power of 2")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("qpe-order", help="order finding via phase estimation")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("count", help="estimate the number of marked strings")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--marked", required=True)
-    p.add_argument("--m", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("qft-check", help="transform circuit vs the direct matrix")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
     return parser
 
 
 def _dispatch(args) -> tuple:
     """Returns (parameters, answer, distribution, exit_code)."""
-    if args.command == "deutsch":
-        bits = _bits_argument(args.f, "--f")
-        if len(bits) != 2:
-            _usage_error("--f wants exactly two bits")
-        table = TruthTable(1, 1, (bits[0], bits[1]))
-        res = algorithms.deutsch(table, economical=args.economical, seed=args.seed)
-        return {"f": bits, "economical": args.economical}, res.answer, res.exact_distribution, 0
-
-    if args.command == "dj":
-        with open(args.table, "r", encoding="ascii") as handle:
-            table = TruthTable.from_text(handle.read())
-        if table.n_out != 1:
-            _usage_error("dj wants a single-output table")
-        from .oracles import synth_bit_oracle
-
-        res = algorithms.deutsch_jozsa(synth_bit_oracle(table), table.n_in, seed=args.seed)
-        return {"table": args.table, "n": table.n_in}, res.answer, res.exact_distribution, 0
-
-    if args.command == "bv":
-        s = _bits_argument(args.s, "--s")
-        from .oracles import synth_bv_oracle
-
-        res = algorithms.bernstein_vazirani(
-            synth_bv_oracle(s), len(s), economical=args.economical, seed=args.seed
-        )
-        return {"s": s, "economical": args.economical}, res.answer, res.exact_distribution, 0
-
-    if args.command == "simon":
-        if (args.s is None) == (args.table is None):
-            _usage_error("give exactly one of --s or --table")
-        table = _simon_table(args)
-        n = table.n_in
-        oracle = xor_permutation_oracle(table)
-        res = algorithms.simon(
-            oracle, n, lambda x: table.rows[int(x, 2)], seed=args.seed
-        )
-        params = {"n": n, "s": args.s, "table": args.table}
-        return params, res.answer, res.exact_distribution, 0 if res.success else 1
-
-    if args.command == "grover":
-        marked = _marked_argument(args.marked, args.n)
-        res = algorithms.grover(marked, args.n, variant=args.variant, seed=args.seed)
-        params = {"n": args.n, "marked": marked, "variant": args.variant}
-        return params, res.answer["x"], res.exact_distribution, 0
-
-    if args.command == "sat":
-        expr, n_vars = parse_bool_expr(args.expr)
-        res = algorithms.sat_solve(expr, n_vars, m_known=args.m_known, seed=args.seed)
-        params = {"expr": args.expr, "n_vars": n_vars, "m_known": args.m_known}
-        return params, res.answer, res.exact_distribution, 0 if res.success else 1
-
-    if args.command == "shor":
-        mode = "las_vegas" if args.mode == "lv" else "monte_carlo"
-        res = algorithms.shor_factor(args.N, mode=mode, seed=args.seed, base=args.a)
-        params = {"N": args.N, "a": args.a, "mode": mode}
-        return params, res.answer, res.exact_distribution, 0 if res.success and res.answer else 1
-
-    if args.command == "dlog":
-        res = algorithms.shor_dlog_pow2(args.N, args.a, args.b, seed=args.seed)
-        params = {"N": args.N, "a": args.a, "b": args.b}
-        return params, res.answer["s"], res.exact_distribution, 0 if res.success else 1
-
-    if args.command == "qpe-order":
-        res = algorithms.qpe_order_finding(args.a, args.N, seed=args.seed)
-        params = {"N": args.N, "a": args.a}
-        return params, res.answer["ell"], res.exact_distribution, 0
-
-    if args.command == "count":
-        marked = _marked_argument(args.marked, args.n)
-        res = algorithms.quantum_counting(marked, args.n, m=args.m, seed=args.seed)
-        params = {"n": args.n, "marked": marked, "m": args.m}
-        return params, res.answer["estimate"], res.exact_distribution, 0
-
-    if args.command == "qft-check":
-        c = algorithms.qft_circuit(args.n)
-        gate_count = len(c.ops)
-        max_error = None
-        if args.n <= 12:
-            dim = 1 << args.n
-            omega = np.exp(2j * np.pi / dim)
-            direct = omega ** (np.outer(np.arange(dim), np.arange(dim))) / np.sqrt(dim)
-            max_error = float(np.max(np.abs(unitary_of(c) - direct)))
-        answer = {"gate_count": gate_count, "max_error": max_error}
-        return {"n": args.n}, answer, None, 0
-
-    raise SystemExit(2)
+    command = COMMANDS[args.command]
+    parameters, res = command.run(args)
+    answer = res.answer if command.key is None else res.answer[command.key]
+    return parameters, answer, res.exact_distribution, 0 if res.success else 1
 
 
 def main(argv=None) -> int:
@@ -354,15 +312,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = RunReport(
-        algorithm=args.command,
-        parameters=parameters,
-        answer=answer,
-        distribution=_top_entries(dist, args.top, args.shots, args.seed),
-        seed=args.seed,
-        shots=args.shots,
-        wall_time_ms=elapsed_ms,
-    )
+    report = {
+        "algorithm": args.command,
+        "parameters": parameters,
+        "answer": answer,
+        "distribution": _top_entries(dist, args.top, args.shots, args.seed),
+        "seed": args.seed,
+        "shots": args.shots,
+        "wall_time_ms": elapsed_ms,
+    }
     _print_report(report, args.json)
     return code
 

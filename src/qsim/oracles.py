@@ -211,6 +211,13 @@ def synth_multi_oracle(tt: TruthTable) -> Circuit:
     return c
 
 
+def require_bitstrings(marked, n: int) -> None:
+    """Refuse the first marked string that is not an n-bit string."""
+    for bits in marked:
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
+
+
 def synth_phase_oracle(n: int, marked) -> Circuit:
     """Diagonal oracle flipping the sign of exactly the marked basis strings.
 
@@ -218,10 +225,10 @@ def synth_phase_oracle(n: int, marked) -> Circuit:
     H-conjugated (and X-conjugated, for a trailing 0 bit) multi-controlled X
     on the last qubit.
     """
+    marked = sorted(marked)
+    require_bitstrings(marked, n)
     c = Circuit(n)
-    for bits in sorted(marked):
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
+    for bits in marked:
         controls = tuple((j, int(bits[j])) for j in range(n - 1))
         flip_last = bits[n - 1] == "0"
         if flip_last:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsim import qstate
+from qsim import cli, qstate
 from qsim.circuit import MAX_SHOTS
 from qsim.cli import _top_entries, main, parse_bool_expr
 from qsim.oracles import TruthTable
+from test_golden import README_EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,14 @@ def test_shots_mode(capsys):
     assert report["distribution"][0] == {"bitstring": "101", "value": 1000}
 
 
+def test_every_command_has_a_golden_line_and_help():
+    assert set(cli.COMMANDS) == {argv[0] for argv in README_EXAMPLES}
+    for name in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0, name
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bv"])
@@ -182,6 +191,7 @@ def test_bad_argument_values_exit_2(capsys):
         ["count", "--n", "0", "--marked", "0"],
         ["count", "--n", "-1", "--marked", "0"],
         ["count", "--n", "2", "--marked", "01", "--m", "0"],
+        ["grover", "--n", "3", "--marked", "9", "--variant", "standard"],
         ["dlog", "--N", "21", "--a", "2", "--b", "4"],
     ):
         assert exit_code(argv) == 2, argv

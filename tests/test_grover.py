@@ -67,6 +67,16 @@ def test_degenerate_marked_majority():
     assert res.exact_distribution.prob("00") == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize(
+    "marked, n, variant",
+    [(["1001"], 3, "standard"), (["1001"], 3, "economical"), (["00", "01", "1x"], 2, "economical")],
+)
+def test_grover_refuses_a_string_that_is_not_n_bits(marked, n, variant):
+    # the last case marks more than half the strings, so it takes the degenerate path
+    with pytest.raises(ValueError, match=f"is not an {n}-bit string"):
+        alg.grover(marked, n, variant=variant)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_grover_refuses_an_empty_register(n):
     with pytest.raises(ValueError, match="at least one qubit"):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ def test_driver_recovers_the_paper_string():
             successes += 1
             assert res.answer == "110"
     assert successes / 500 > 0.5
+
+
+def test_driver_simulates_the_round_circuit_once(monkeypatch):
+    # n = 8, seed 1 takes 13 batches; each reads its rounds out of the same post-oracle state
+    module = sys.modules["qsim.algorithms.simon"]
+    runs = []
+    original = module.simulate
+    monkeypatch.setattr(module, "simulate", lambda c, initial=None: runs.append(initial) or original(c, initial))
+    s_int = 0b10110011
+    table = canonical_two_to_one(8, s_int)
+    res = alg.simon(xor_permutation_oracle(table), 8, probe_for(table), seed=1)
+    assert res.answer == format(s_int, "08b") and res.rounds_used == 91
+    assert sum(initial is None for initial in runs) == 1
 
 
 def test_driver_failure_path():
