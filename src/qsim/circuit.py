@@ -10,6 +10,8 @@ through one fusion pass: runs of uncontrolled 1-qubit gates become one product
 per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits, and
 every kernel is chosen by operator structure (``gates.apply_kernel``). From
 |0...0>, ``simulate`` builds the product state of the leading kernels directly.
+``_run`` then joins each sequence of consecutive 1-qubit dense or diagonal
+kernels on one target into one "run", swept over the state chunk by chunk.
 """
 
 from __future__ import annotations
@@ -180,8 +182,22 @@ def _kernels(ops):
     yield from _flush(pending)
 
 
+def _runs(kernels):
+    """The kernels, with two or more consecutive 1-qubit dense or diagonal kernels on one
+    target (an H and its controlled-phase cascade, say) joined into one "run"."""
+
+    def run_target(kernel):
+        # a fresh object() equals no other key, so any other kernel stays alone
+        return kernel[2] if len(kernel[2]) == 1 and kernel[0] in ("dense", "diag") else object()
+
+    for targets, group in itertools.groupby(kernels, run_target):
+        group = list(group)
+        steps = tuple((kind, operand, controls) for kind, operand, _, controls in group)
+        yield group[0] if len(group) == 1 else ("run", steps, targets, ())
+
+
 def _run(amps: np.ndarray, num_qubits: int, kernels) -> None:
-    for kernel in kernels:
+    for kernel in _runs(kernels):
         apply_kernel(amps, num_qubits, *kernel)
 
 

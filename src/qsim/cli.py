@@ -132,6 +132,7 @@ def _bits_argument(value: str, name: str) -> str:
 
 
 def _marked_argument(csv: str, n: int) -> list:
+    """The distinct n-bit strings of ``csv``, in first-occurrence order; a token is a bit string or an integer."""
     if n < 1:
         _usage_error("--n must be at least 1")
     marked = []
@@ -140,9 +141,14 @@ def _marked_argument(csv: str, n: int) -> list:
         if not token:
             continue
         if len(token) == n and set(token) <= {"0", "1"}:
-            marked.append(token)
+            bits = token
+        elif token.isdecimal() and int(token) < 1 << n:
+            bits = _bitstring(int(token), n)
         else:
-            marked.append(_bitstring(int(token), n))
+            limit = (1 << n) - 1
+            _usage_error(f"marked string {token!r} is neither a bit string of length {n} nor an integer from 0 to {limit}")
+        if bits not in marked:
+            marked.append(bits)
     return marked
 
 

@@ -9,9 +9,12 @@ a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
 (its mapping, kind "map") or counting's step (itself, kind "call").
 ``apply_kernel`` is the one code path that changes amplitudes. A matrix is
 classified once: a diagonal multiplies only its non-unit slices, a 0/1
-permutation exchanges slices, a dense 1-qubit matrix updates the two
-half-views, and a dense k-qubit matrix is a batch of small matmuls (real
-ones on the float view of the amplitudes when the matrix is real).
+permutation exchanges slices, and a dense k-qubit matrix is a batch of small
+matmuls (real ones on the float view of the amplitudes when the matrix is
+real). A "run" is a sequence of 1-qubit dense or diagonal kernels on one
+target, such as a Fourier stage (an H and its controlled-phase cascade): one
+walk over cache-sized chunks applies every kernel of the run to each chunk
+before moving on. A lone dense 1-qubit matrix is a run of one.
 
 A "map" has two branches. On the last k < n qubits, the targets are the
 contiguous trailing axis of the control-selected view, so the kernel gathers
@@ -37,9 +40,9 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 # several threads can stall 8 ms waking them (seen at 16x16 @ 16x256 and up
 # on a 2-vCPU host), while a batch of small products runs on the caller's thread
 _GEMM_SIZE = 1 << 14
-# amplitudes per chunk of a "map" gather: whole-view temporaries of 2^19 amplitudes
-# cost fresh pages on every call, and this size was the fastest at n = 20
-_GATHER_SIZE = 1 << 14
+# amplitudes per chunk of a "map" gather or a "run" sweep: whole-view temporaries of
+# 2^19 amplitudes cost fresh pages on every call, and this size was the fastest at n = 20
+_CHUNK_SIZE = 1 << 14
 # widest tiled gate: only products of at most 16 rows stalled, and from 32 rows on one product beat tiles
 _TILED_QUBITS = 4
 
@@ -195,15 +198,92 @@ def _tiles(block: np.ndarray, k: int) -> np.ndarray:
     return block.reshape(*block.shape[:-1], -1, cols).swapaxes(-3, -2)
 
 
+def _sweep(amps: np.ndarray, num_qubits: int, target: int, steps) -> None:
+    """In-place application of a run: 1-qubit ``(kind, operand, controls)`` steps on ``target``, in order.
+
+    The ``inner`` qubits (the ``r`` just above the target, then the bottom
+    ``free``) vary inside a chunk of about ``_CHUNK_SIZE`` amplitudes; the other
+    qubits number the chunks. Each chunk's touched halves are copied into one
+    small buffer, every step runs on it, and it is copied back; a state of one
+    chunk is its own buffer. A control on an outer qubit keeps or skips a step
+    per chunk; one on an inner qubit selects a strided slice of the buffer. A
+    step touches only the amplitudes it selects, with the ufuncs of its lone
+    kernel, so the result is bit-identical to running the kernels one by one.
+    (A contiguous multiply by a ``[1, d]`` pattern ran Fourier stages 10-20 %
+    faster, but a factor of exactly 1 can flip the sign of a zero part.)
+    """
+    n, t = num_qubits, target
+    below, batch = n - 1 - t, amps.size >> n
+    free = min(below, max(0, (_CHUNK_SIZE // 2 // batch).bit_length() - 1))
+    cols = batch << free
+    r = 0 if free < below else min(t, max(0, (_CHUNK_SIZE // 2 // cols).bit_length() - 1))
+    view = amps.reshape(1 << t - r, 1 << r, 2, 1 << below - free, cols)
+    single = view.shape[0] == view.shape[3] == 1
+    buf = view[0, :, :, 0].swapaxes(0, 1) if single else np.empty((2, 1 << r, cols), dtype=amps.dtype)
+    inner = [*range(t - r, t), *range(n - free, n)]
+    outer = [q for q in range(n) if q != t and q not in inner]
+    tensor = buf.reshape(2, *[2] * len(inner), batch)
+    scratch = np.empty((2, buf[0].size), dtype=amps.dtype)
+    plans, halves = [], set()
+    for kind, operand, controls in steps:
+        index, mask, want = [slice(None)] * len(inner), 0, 0
+        for q, v in controls:
+            if q in inner:
+                index[inner.index(q)] = v
+            else:
+                bit = 1 << len(outer) - 1 - outer.index(q)
+                mask, want = mask | bit, want | bit * v
+        if kind == "diag":
+            for h, d in enumerate(np.diagonal(operand)):
+                if d != 1:
+                    x = tensor[(h, *index)]
+                    plans.append((mask, want, functools.partial(np.multiply, x, d, out=x)))
+                    halves.add(h)
+        else:
+            a, b = tensor[(0, *index)], tensor[(1, *index)]
+            terms = scratch[:, : a.size].reshape(2, *a.shape)
+            plans.append((mask, want, functools.partial(_dense_step, a, b, operand, *terms)))
+            halves.update((0, 1))
+    half = slice(min(halves, default=0), max(halves, default=0) + 1)
+    for chunk_number, (hi, j) in enumerate(np.ndindex(view.shape[0], view.shape[3])):
+        todo = [step for mask, want, step in plans if chunk_number & mask == want]
+        if todo:
+            chunk = view[hi, :, :, j].swapaxes(0, 1)
+            if not single:
+                buf[half] = chunk[half]
+            for step in todo:
+                step()
+            if not single:
+                chunk[half] = buf[half]
+
+
+def _dense_step(a, b, operand, new_a, term) -> None:
+    """m00*a + m01*b into ``a`` and m10*a + m11*b into ``b``, by the ufuncs of the lone kernel:
+    NumPy rounds a one-element complex product made in place differently from one made into another array."""
+    (m00, m01), (m10, m11) = operand
+    np.multiply(a, m00, out=new_a)
+    np.multiply(b, m01, out=term)
+    new_a += term
+    np.multiply(a, m10, out=term)
+    b *= m11
+    b += term
+    a[...] = new_a
+
+
 def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets, controls=()) -> None:
     """In-place application of ``operand``, of kernel ``kind``, to ``targets`` under ``controls``.
 
     ``amps`` may carry extra trailing axes (e.g. a batch of columns); only the
     leading ``num_qubits`` binary axes are touched. Amplitudes whose control
-    bits do not match are left bit-identical.
+    bits do not match are left bit-identical. A "run" is a sequence of
+    ``(kind, operand, controls)`` 1-qubit steps on one target; a lone dense
+    1-qubit kernel runs as a run of one.
     """
     k = len(targets)
     lo = targets[0]
+    if kind == "run" or (kind == "dense" and k == 1):
+        _sweep(amps, num_qubits, lo, operand if kind == "run" else ((kind, operand, controls),))
+        return
     if kind == "dense" and k > 1 and not controls and tuple(targets) == tuple(range(lo, lo + k)):
         # adjacent targets: the (before, block, after) view needs no moveaxis copy
         block = amps.reshape(1 << lo, 1 << k, -1)
@@ -234,7 +314,7 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         # chunk of leading axes at a time, so its temporaries stay small and warm; on
         # the same chunks a scatter by the mapping took 2-3x as long at n = 20
         inverse = inverse_permutation(operand)
-        lead = min(view.ndim - 2, max(0, (view.size // _GATHER_SIZE).bit_length() - 1))
+        lead = min(view.ndim - 2, max(0, (view.size // _CHUNK_SIZE).bit_length() - 1))
         for chunk_index in np.ndindex(view.shape[:lead]):
             chunk = view[chunk_index]
             chunk[...] = np.take(chunk, inverse, axis=-2)
@@ -266,17 +346,6 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
             for dst, src in zip(cycle, cycle[1:]):
                 moved[slices[dst]] = moved[slices[src]]
             moved[slices[cycle[-1]]] = first
-    elif k == 1:
-        (m00, m01), (m10, m11) = operand
-        a, b = moved[0], moved[1]
-        # m00*a + m01*b and m10*a + m11*b, with the products in that order
-        new_a = a * m00
-        term = b * m01
-        new_a += term
-        np.multiply(a, m10, out=term)
-        b *= m11
-        b += term
-        a[...] = new_a
     else:
         tiles = _tiles(moved.reshape(1 << k, -1), k)
         moved[...] = np.matmul(operand, tiles).swapaxes(0, 1).reshape(moved.shape)

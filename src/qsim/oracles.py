@@ -212,10 +212,10 @@ def synth_multi_oracle(tt: TruthTable) -> Circuit:
 
 
 def require_bitstrings(marked, n: int) -> None:
-    """Refuse the first marked string that is not an n-bit string."""
+    """Refuse the first marked string that is not a bit string of length n."""
     for bits in marked:
         if len(bits) != n or set(bits) - {"0", "1"}:
-            raise ValueError(f"marked string {bits!r} is not an {n}-bit string")
+            raise ValueError(f"marked string {bits!r} is not a bit string of length {n}")
 
 
 def synth_phase_oracle(n: int, marked) -> Circuit:

@@ -7,10 +7,14 @@ strided versions must agree with them exactly. ``reference_apply_to_array``
 is the one-matmul gate kernel that ran every gate before kernels were chosen
 by gate structure and fused; ``reference_run`` applies a circuit's ops one
 at a time with it, and a permutation oracle's with ``reference_apply_permutation``.
+``reference_kernels`` applies fused kernels one at a time, each 1-qubit dense one
+by ``reference_one_qubit_dense``, the half-view kernel that ran them before
+runs were swept in chunks; the chunk walker must match it bit for bit.
 """
 
 import numpy as np
 
+from qsim.gates import apply_kernel
 from qsim.oracles import PermutationOracle
 from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
 
@@ -33,6 +37,32 @@ def reference_run(amps: np.ndarray, circuit) -> np.ndarray:
             out = np.stack([s.amps for s in moved], axis=1).reshape(out.shape)
         else:
             reference_apply_to_array(out, n, op)
+    return out
+
+
+def reference_one_qubit_dense(amps: np.ndarray, num_qubits: int, operand, target: int, controls=()) -> None:
+    """In-place: the two half-views of the control-selected block, with full-size temporaries."""
+    moved = _subspace(amps[..., None], num_qubits, (target,), controls)
+    (m00, m01), (m10, m11) = operand
+    a, b = moved[0], moved[1]
+    # m00*a + m01*b and m10*a + m11*b, with the products in that order
+    new_a = a * m00
+    term = b * m01
+    new_a += term
+    np.multiply(a, m10, out=term)
+    b *= m11
+    b += term
+    a[...] = new_a
+
+
+def reference_kernels(amps: np.ndarray, num_qubits: int, kernels) -> np.ndarray:
+    """A copy of ``amps`` after ``(kind, operand, targets, controls)`` kernels, one at a time."""
+    out = np.array(amps, dtype=complex)
+    for kind, operand, targets, controls in kernels:
+        if kind == "dense" and len(targets) == 1:
+            reference_one_qubit_dense(out, num_qubits, operand, targets[0], controls)
+        else:
+            apply_kernel(out, num_qubits, kind, operand, targets, controls)
     return out
 
 

@@ -85,6 +85,29 @@ def test_grover_and_count(capsys):
     assert code == 0 and abs(report["answer"] - 2.0) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "argv, marked",
+    [
+        (["grover", "--n", "3", "--marked", "3,011"], ["011"]),
+        (["grover", "--n", "3", "--marked", "110,6,011,3,110"], ["110", "011"]),
+        (["count", "--n", "2", "--marked", "11,00,3,0", "--m", "2"], ["11", "00"]),
+    ],
+)
+def test_marked_strings_are_reported_once_in_first_occurrence_order(capsys, argv, marked):
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["parameters"]["marked"] == marked
+
+
+@pytest.mark.parametrize("command", ["grover", "count"])
+@pytest.mark.parametrize("token", ["9", "-1", "1x", "0110"])
+def test_a_bad_marked_token_is_named_as_typed(capsys, command, token):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "3", f"--marked=011,{token}", "--json"])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: marked string '{token}' is neither a bit string of length 3 nor an integer from 0 to 7"]
+
+
 def test_sat_round_trip(capsys):
     code, report = run_json(capsys, "sat", "--expr", "a&(c|(!b&c))")
     assert code == 0

@@ -73,7 +73,7 @@ def test_degenerate_marked_majority():
 )
 def test_grover_refuses_a_string_that_is_not_n_bits(marked, n, variant):
     # the last case marks more than half the strings, so it takes the degenerate path
-    with pytest.raises(ValueError, match=f"is not an {n}-bit string"):
+    with pytest.raises(ValueError, match=f"is not a bit string of length {n}$"):
         alg.grover(marked, n, variant=variant)
 
 

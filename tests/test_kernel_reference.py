@@ -3,8 +3,12 @@
 Agreement is exact: same amplitudes bit for bit, same outcome and probability,
 and the generator left in the same state. The drivers' read-out, which
 transforms only the block conditional on the measured value, must draw the
-same values as a full collapse followed by the transform.
+same values as a full collapse followed by the transform. The chunk walker
+that runs each sequence of 1-qubit kernels on one target must give the raw
+bits of the half-view kernels it replaced, applied one kernel at a time.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -13,12 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim.algorithms.common import conditional_readout
-from qsim.circuit import Circuit, simulate, unitary_of
+from qsim.algorithms.qft import inverse_qft_circuit, qft_circuit
+from qsim.circuit import Circuit, _kernels, _run, _runs, simulate, unitary_of
+from qsim.gates import apply_kernel, rk_phase, rz, standard_gate, u_gate
 from qsim.oracles import PermutationOracle, apply_permutation
 from qsim.qstate import StateVector, measure
 
 from conftest import random_state
-from slow_reference import reference_apply_permutation, reference_measure, reference_run
+from slow_reference import (
+    reference_apply_permutation,
+    reference_kernels,
+    reference_measure,
+    reference_one_qubit_dense,
+    reference_run,
+)
 from test_gate_kernels import circuits
 
 
@@ -143,3 +155,99 @@ def test_map_kernel_matches_reference_exactly(monkeypatch, n, k, trailing, polar
         # unitary_of's batch axis widens the view: 2**8 columns, checked on every 5th
         columns = np.eye(1 << n, dtype=complex)[:, ::5]
         assert np.array_equal(unitary_of(c)[:, ::5], reference_run(columns, c))
+
+
+def _same_bits(fast, slow):
+    return np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+
+@functools.lru_cache(maxsize=None)
+def _psi(n):
+    """One random n-qubit state per n, shared by the tests below; read only."""
+    return random_state(n, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_one_qubit_kernel_matches_reference_bits_on_every_target(n):
+    """A lone 1-qubit dense kernel is a run of one; a fused real product keeps its float64 operand.
+
+    Both sides carry one state through every target in turn, checked after each."""
+    real, cplx = standard_gate("H").matrix.real.copy(), u_gate(0.4, 1.3, -2.1).matrix
+    fast, slow = _psi(n).amps.copy(), _psi(n).amps.copy()
+    for t in range(n):
+        for operand in (real, cplx) if n == 16 else ((real, cplx)[t % 2],):
+            apply_kernel(fast, n, "dense", operand, (t,))
+            reference_one_qubit_dense(slow, n, operand, t)
+            assert _same_bits(fast, slow), t
+
+
+# (n, target, controls). At n = 16 a chunk is 2^14 amplitudes: on target 1, qubits 0 and 2
+# are fixed across a chunk and qubits 3..15 vary inside it; on target 8, qubits 0-1 are
+# fixed and 2-7 vary as rows, as do 9-15 as columns. At n = 10 the state is one chunk.
+CONTROL_CASES = [
+    (16, 1, ((0, 1), (2, 0), (9, 1), (15, 0))),
+    (16, 8, ((1, 0), (5, 1), (7, 0), (12, 1))),
+    (10, 4, ((0, 0), (3, 1), (5, 1), (9, 0))),
+]
+
+
+def _controlled_run(n, target, controls):
+    """Controlled dense and diagonal gates on one target under each control, a pair, all of
+    them, and each of those with every polarity flipped: one run of 36 kernels."""
+    c = Circuit(n).h(target)
+    subsets = [(q,) for q in controls] + [controls[:2], controls]
+    for subset in subsets + [tuple((q, 1 - v) for q, v in s) for s in subsets]:
+        for gate in (u_gate(0.4, 1.3, -2.1), rz(0.7), rk_phase(3)):
+            c.append(gate, (target,), subset)
+    return c
+
+
+@pytest.mark.parametrize("n,target,controls", CONTROL_CASES)
+def test_controlled_runs_match_reference_bits(n, target, controls):
+    c = _controlled_run(n, target, controls)
+    kernels = list(_kernels(c.ops))
+    assert [kind for kind, *_ in _runs(iter(kernels))] == ["run"]
+    psi = random_state(n, np.random.default_rng(target)).amps
+    assert _same_bits(simulate(c, StateVector(n, psi)).amps, reference_kernels(psi, n, kernels))
+    # a batch of three columns folds into the walker's column axis
+    batch = np.stack([psi, psi[::-1], 1j * psi], axis=1)
+    fast = batch.copy()
+    _run(fast, n, kernels)
+    assert _same_bits(fast, reference_kernels(batch, n, kernels))
+
+
+@pytest.mark.parametrize("n", [9, 16, 20])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_fourier_transform_runs_match_reference_bits(n, inverse):
+    c = inverse_qft_circuit(n) if inverse else qft_circuit(n)
+    psi = _psi(n)
+    assert _same_bits(simulate(c, psi).amps, reference_kernels(psi.amps, n, _kernels(c.ops)))
+
+
+def test_qft_stages_are_runs():
+    """Counted: each qubit's H and controlled-phase cascade is one kernel call."""
+    n = 8
+    kinds = [kind for kind, *_ in _runs(_kernels(qft_circuit(n).ops))]
+    assert kinds == ["run"] * (n - 1) + ["dense"] + ["perm"] * (n // 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(circuits(max_qubits=6), st.integers(1, 6).map(qft_circuit), st.integers(1, 6).map(inverse_qft_circuit)),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_runs_match_reference_bits_from_any_state(c, seed, sparse):
+    """From a random state, or a sparse one with zeros of either sign, and on unitary_of's batch
+    axis (every basis column at once). At n = 1 each half is one amplitude."""
+    n = c.num_qubits
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    if sparse:
+        amps[rng.random(1 << n) < 0.5] = 0
+        amps[0] += 1
+        amps *= np.where(rng.random(1 << n) < 0.5, -1, 1)
+    psi = StateVector(n, amps / np.linalg.norm(amps))
+    assert _same_bits(simulate(c, psi).amps, reference_kernels(psi.amps, n, _kernels(c.ops)))
+    eye = np.eye(1 << n, dtype=complex)
+    assert _same_bits(unitary_of(c), reference_kernels(eye, n, _kernels(c.ops)))

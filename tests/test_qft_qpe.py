@@ -219,5 +219,5 @@ def test_counting_default_register_size():
 
 @pytest.mark.parametrize("marked", [["1"], ["0111"], ["0a"], ["01", "1"]])
 def test_counting_rejects_strings_that_are_not_n_bit(marked):
-    with pytest.raises(ValueError, match="is not an 2-bit string"):
+    with pytest.raises(ValueError, match="is not a bit string of length 2$"):
         alg.quantum_counting(marked, 2, m=2)
