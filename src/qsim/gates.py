@@ -219,11 +219,14 @@ def _sweep(amps: np.ndarray, num_qubits: int, target: int, steps) -> None:
     r = 0 if free < below else min(t, max(0, (_CHUNK_SIZE // 2 // cols).bit_length() - 1))
     view = amps.reshape(1 << t - r, 1 << r, 2, 1 << below - free, cols)
     single = view.shape[0] == view.shape[3] == 1
-    buf = view[0, :, :, 0].swapaxes(0, 1) if single else np.empty((2, 1 << r, cols), dtype=amps.dtype)
+    # the dense steps' two temporaries and the buffer are one allocation: two fresh
+    # ones faulted in their pages again on every call (a lone kernel at n = 15: +70 %)
+    space = np.empty((2 if single else 4, 1 << r, cols), dtype=amps.dtype)
+    buf = view[0, :, :, 0].swapaxes(0, 1) if single else space[2:]
     inner = [*range(t - r, t), *range(n - free, n)]
     outer = [q for q in range(n) if q != t and q not in inner]
     tensor = buf.reshape(2, *[2] * len(inner), batch)
-    scratch = np.empty((2, buf[0].size), dtype=amps.dtype)
+    scratch = space[:2].reshape(2, -1)
     plans, halves = [], set()
     for kind, operand, controls in steps:
         index, mask, want = [slice(None)] * len(inner), 0, 0
@@ -236,11 +239,11 @@ def _sweep(amps: np.ndarray, num_qubits: int, target: int, steps) -> None:
         if kind == "diag":
             for h, d in enumerate(np.diagonal(operand)):
                 if d != 1:
-                    x = tensor[(h, *index)]
+                    x = _merged(tensor[(h, *index)])
                     plans.append((mask, want, functools.partial(np.multiply, x, d, out=x)))
                     halves.add(h)
         else:
-            a, b = tensor[(0, *index)], tensor[(1, *index)]
+            a, b = _merged(tensor[(0, *index)]), _merged(tensor[(1, *index)])
             terms = scratch[:, : a.size].reshape(2, *a.shape)
             plans.append((mask, want, functools.partial(_dense_step, a, b, operand, *terms)))
             halves.update((0, 1))
@@ -255,6 +258,20 @@ def _sweep(amps: np.ndarray, num_qubits: int, target: int, steps) -> None:
                 step()
             if not single:
                 chunk[half] = buf[half]
+
+
+def _merged(x: np.ndarray) -> np.ndarray:
+    """The view ``x`` with adjacent axes merged wherever its strides allow: NumPy's
+    ufuncs took half again as long on a 14-axis strided view as on the same 1-axis one."""
+    shape, strides = [], []
+    for size, stride in zip(x.shape, x.strides):
+        if shape and strides[-1] == stride * size:
+            shape[-1] *= size
+            strides[-1] = stride
+        elif size > 1 or not shape:
+            shape.append(size)
+            strides.append(stride)
+    return x.reshape(shape)
 
 
 def _dense_step(a, b, operand, new_a, term) -> None:
