@@ -142,11 +142,10 @@ def _marked_argument(csv: str, n: int) -> list:
             continue
         if len(token) == n and set(token) <= {"0", "1"}:
             bits = token
-        elif token.isdecimal() and int(token) < 1 << n:
+        elif token.isdecimal() and int(token).bit_length() <= n:
             bits = _bitstring(int(token), n)
         else:
-            limit = (1 << n) - 1
-            _usage_error(f"marked string {token!r} is neither a bit string of length {n} nor an integer from 0 to {limit}")
+            _usage_error(f"marked string {token!r} is neither a bit string of length {n} nor an integer below 2^{n}")
         if bits not in marked:
             marked.append(bits)
     return marked

@@ -209,7 +209,7 @@ def _sweep(amps: np.ndarray, num_qubits: int, target: int, steps) -> None:
     per chunk; one on an inner qubit selects a strided slice of the buffer. A
     step touches only the amplitudes it selects, with the ufuncs of its lone
     kernel, so the result is bit-identical to running the kernels one by one.
-    (A contiguous multiply by a ``[1, d]`` pattern ran Fourier stages 10-20 %
+    (A contiguous multiply by a ``[1, d]`` pattern ran Fourier stages 3-20 %
     faster, but a factor of exactly 1 can flip the sign of a zero part.)
     """
     n, t = num_qubits, target

@@ -105,7 +105,7 @@ def test_a_bad_marked_token_is_named_as_typed(capsys, command, token):
         main([command, "--n", "3", f"--marked=011,{token}", "--json"])
     assert exc.value.code == 2
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == [f"error: marked string '{token}' is neither a bit string of length 3 nor an integer from 0 to 7"]
+    assert lines == [f"error: marked string '{token}' is neither a bit string of length 3 nor an integer below 2^3"]
 
 
 def test_sat_round_trip(capsys):
