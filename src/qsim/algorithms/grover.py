@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
-from ..oracles import BooleanExpr, TruthTable, expr_to_circuit, require_bitstrings
-from ..oracles import synth_bit_oracle, synth_phase_oracle
+from ..oracles import BooleanExpr, _row_controls, expr_to_circuit, require_bitstrings, synth_phase_oracle
 from ..qstate import Distribution, _bitstring
 from .common import AlgorithmResult, GroverGeometry, h_layer, readout
 
@@ -34,29 +33,27 @@ def diffusion_ops(n: int) -> Circuit:
 
 
 def grover_circuit(marked, n: int, iterations: int, variant: str = "economical") -> Circuit:
-    """Iterated oracle/diffusion circuit; measurement on the search register."""
+    """Iterated oracle/diffusion circuit; measurement on the search register.
+
+    The iterate is built once and appended ``iterations`` times, so every
+    iteration shares its op objects (which lets the fusion pass fuse it once).
+    """
     marked = sorted(marked)
     if variant == "economical":
-        oracle = synth_phase_oracle(n, marked)
         c = h_layer(n, n)
-        for _ in range(iterations):
-            c.extend(oracle)
-            c.extend(diffusion_ops(n))
-        return c.measure(list(range(n)))
-    if variant == "standard":
-        marked_set = set(marked)
-        table = TruthTable.from_function(n, 1, lambda x: "1" if x in marked_set else "0")
-        oracle = synth_bit_oracle(table)
-        c = h_layer(n, n + 1)
-        for _ in range(iterations):
-            c.extend(oracle)
-            for q in range(n):
-                c.h(q)
-            c.mcx(tuple((q, 0) for q in range(n)), n)
-            for q in range(n):
-                c.h(q)
-        return c.measure(list(range(n)))
-    raise ValueError(f"unknown variant {variant!r}")
+        body = synth_phase_oracle(n, marked).extend(diffusion_ops(n))
+    elif variant == "standard":
+        require_bitstrings(marked, n)
+        c, body = h_layer(n, n + 1), Circuit(n + 1)
+        for bits in sorted(set(marked)):  # the DNF bit oracle: one MCX per marked row
+            body.mcx(_row_controls(int(bits, 2), n), n)
+        layer = h_layer(n, n + 1)
+        body.extend(layer).mcx(tuple((q, 0) for q in range(n)), n).extend(layer)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    for _ in range(iterations):
+        c.extend(body)
+    return c.measure(list(range(n)))
 
 
 def grover(
@@ -145,12 +142,12 @@ def sat_solve(
     require_qubits(width)  # ancillas included, so known only once the formula is compiled
     rng = np.random.default_rng(seed)
 
+    body = Circuit(width).extend(oracle).extend(diffusion_ops(n_vars))
+
     def run_with(iterations: int):
         c = h_layer(n_vars, width)
-        diff = diffusion_ops(n_vars)
         for _ in range(iterations):
-            c.extend(oracle)
-            c.extend(diff)
+            c.extend(body)
         return readout(simulate(c), range(n_vars), rng)
 
     guesses = (

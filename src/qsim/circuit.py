@@ -8,7 +8,9 @@ register before transforming another reads it out with
 conditional on the drawn value. ``simulate`` and ``unitary_of`` run a circuit
 through one fusion pass: runs of uncontrolled 1-qubit gates become one product
 per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits, and
-every kernel is chosen by operator structure (``gates.apply_kernel``). From
+every kernel is chosen by operator structure (``gates.apply_kernel``). The
+pass memoizes its products and flushes within one call, so a body repeated t
+times (Grover's iterate) is fused once per call, not t times. From
 |0...0>, ``simulate`` builds the product state of the leading kernels directly.
 ``_run`` then joins each sequence of consecutive 1-qubit dense or diagonal
 kernels on one target into one "run", swept over the state chunk by chunk.
@@ -98,8 +100,12 @@ class Circuit:
         return self.append(_SWAP, (a, b))
 
     def extend(self, other: "Circuit") -> "Circuit":
-        for op in other.ops:
-            self.append_op(op)
+        if other.num_qubits > self.num_qubits or self.measurements is not None:
+            for op in other.ops:
+                self.append_op(op)
+        else:
+            # other's ops were range-checked against its width, which is no wider
+            self.ops.extend(other.ops)
         return self
 
     def measure(self, qubits) -> "Circuit":
@@ -124,26 +130,32 @@ class Circuit:
         return out
 
 
-def _flush(pending: dict):
+def _flush(pending: dict, memo: dict) -> list:
     """Kernels for the pending 1-qubit products, which then are cleared.
 
     A diagonal or permutation product gets its own kernel; dense products on
-    adjacent qubits are kron'd into blocks of up to BLOCK_QUBITS qubits.
+    adjacent qubits are kron'd into blocks of up to BLOCK_QUBITS qubits. The
+    list is memoized by the identity of each qubit's product.
     """
-    run = []
-    for q in sorted(pending):
-        matrix = pending[q]
-        kind = classify(matrix)
-        if kind != "dense":
-            yield kind, matrix, (q,), ()
-            continue
-        if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
-            yield _block(run, pending)
-            run = []
-        run.append(q)
-    if run:
-        yield _block(run, pending)
+    key = tuple((q, id(pending[q])) for q in sorted(pending))
+    if key not in memo:
+        kernels, run = [], []
+        for q in sorted(pending):
+            matrix = pending[q]
+            kind = classify(matrix)
+            if kind != "dense":
+                kernels.append((kind, matrix, (q,), ()))
+                continue
+            if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
+                kernels.append(_block(run, pending))
+                run = []
+            run.append(q)
+        if run:
+            kernels.append(_block(run, pending))
+        # the memo holds the products, so no id in its key is reused while it lives
+        memo[key] = list(pending.values()), kernels
     pending.clear()
+    return memo[key][1]
 
 
 def _block(qubits, pending):
@@ -166,20 +178,31 @@ def _kernels(ops):
     pending product; an op on other qubits commutes with them. The fused
     matrices are plain arrays, so no unitarity check runs on them. Oracles and
     steps are never fused.
+
+    Within one call, each product is memoized by the identity of its two
+    factors and each flush's kernel list by the identity of the products it
+    emits. A repeated body (Grover's iterate, say) is thus multiplied, classified
+    and kron'd once, and its later copies yield the same kernel objects. The
+    memos keep their keys' arrays alive and are dropped when the call ends.
     """
-    pending = {}
+    pending, products, flushes = {}, {}, {}
     for op in ops:
         if isinstance(op.gate, Gate) and len(op.targets) == 1 and not op.controls:
-            q = op.targets[0]
-            # an elementwise product, not BLAS: no fused multiply-add leaves a
-            # residue where H.X.H cancels to the exactly diagonal Z
-            g = op.gate.matrix
-            pending[q] = (g[:, :, None] * pending[q][None, :, :]).sum(axis=1) if q in pending else g
+            q, g = op.targets[0], op.gate.matrix
+            if q not in pending:
+                pending[q] = g
+                continue
+            key = (id(g), id(pending[q]))
+            if key not in products:
+                # an elementwise product, not BLAS: no fused multiply-add leaves a
+                # residue where H.X.H cancels to the exactly diagonal Z
+                products[key] = g, pending[q], (g[:, :, None] * pending[q][None, :, :]).sum(axis=1)
+            pending[q] = products[key][2]
             continue
         if any(q in pending for q in op.qubits()):
-            yield from _flush(pending)
+            yield from _flush(pending, flushes)
         yield op.gate._kind, op.gate._operand, op.targets, op.controls
-    yield from _flush(pending)
+    yield from _flush(pending, flushes)
 
 
 def _runs(kernels):

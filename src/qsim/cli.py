@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import algorithms
-from .circuit import MAX_SHOTS, ResourceLimitError, unitary_of
+from .circuit import MAX_SHOTS, ResourceLimitError, require_qubits, unitary_of
 from .oracles import And, BooleanExpr, Not, Or, TruthTable, Var, Xor
 from .oracles import synth_bit_oracle, synth_bv_oracle, xor_permutation_oracle
 from .qstate import _bitstring
@@ -135,6 +135,7 @@ def _marked_argument(csv: str, n: int) -> list:
     """The distinct n-bit strings of ``csv``, in first-occurrence order; a token is a bit string or an integer."""
     if n < 1:
         _usage_error("--n must be at least 1")
+    require_qubits(n)  # before writing any token out as an n-character string
     marked = []
     for token in csv.split(","):
         token = token.strip()

@@ -10,11 +10,15 @@ at a time with it, and a permutation oracle's with ``reference_apply_permutation
 ``reference_kernels`` applies fused kernels one at a time, each 1-qubit dense one
 by ``reference_one_qubit_dense``, the half-view kernel that ran them before
 runs were swept in chunks; the chunk walker must match it bit for bit.
+``reference_fusion`` is the fusion pass without its per-call memo: every
+product, classification and block is computed afresh, so the memoized pass
+must emit the same kernel stream.
 """
 
 import numpy as np
 
-from qsim.gates import apply_kernel
+from qsim.circuit import BLOCK_QUBITS
+from qsim.gates import Gate, apply_kernel, classify
 from qsim.oracles import PermutationOracle
 from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
 
@@ -64,6 +68,48 @@ def reference_kernels(amps: np.ndarray, num_qubits: int, kernels) -> np.ndarray:
         else:
             apply_kernel(out, num_qubits, kind, operand, targets, controls)
     return out
+
+
+def _reference_block(qubits, pending):
+    matrix = pending[qubits[0]]
+    for q in qubits[1:]:
+        dim = 2 * len(matrix)
+        matrix = (matrix[:, None, :, None] * pending[q][None, :, None, :]).reshape(dim, dim)
+    if not matrix.imag.any():
+        matrix = matrix.real.copy()
+    return "dense", matrix, tuple(qubits), ()
+
+
+def _reference_flush(pending: dict):
+    run = []
+    for q in sorted(pending):
+        matrix = pending[q]
+        kind = classify(matrix)
+        if kind != "dense":
+            yield kind, matrix, (q,), ()
+            continue
+        if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
+            yield _reference_block(run, pending)
+            run = []
+        run.append(q)
+    if run:
+        yield _reference_block(run, pending)
+    pending.clear()
+
+
+def reference_fusion(ops):
+    """``(kind, operand, targets, controls)`` kernels for ``ops``, each product fused afresh."""
+    pending = {}
+    for op in ops:
+        if isinstance(op.gate, Gate) and len(op.targets) == 1 and not op.controls:
+            q = op.targets[0]
+            g = op.gate.matrix
+            pending[q] = (g[:, :, None] * pending[q][None, :, :]).sum(axis=1) if q in pending else g
+            continue
+        if any(q in pending for q in op.qubits()):
+            yield from _reference_flush(pending)
+        yield op.gate._kind, op.gate._operand, op.targets, op.controls
+    yield from _reference_flush(pending)
 
 
 def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=()) -> StateVector:

@@ -52,6 +52,28 @@ def test_measurements_are_terminal():
         c.h(0)
 
 
+def test_extend_refuses_ops_after_a_measurement():
+    c = Circuit(3).measure([0])
+    with pytest.raises(ValueError, match="terminal"):
+        c.extend(bell_circuit())
+    with pytest.raises(ValueError, match="terminal"):
+        c.extend(Circuit(4).h(0))
+    assert c.ops == []
+
+
+def test_extend_checks_each_op_of_a_wider_circuit():
+    c = Circuit(3).extend(Circuit(5).h(0).cx(1, 2))  # wider, but every op fits
+    assert [op.qubits() for op in c.ops] == [[0], [2, 1]]
+    with pytest.raises(ValueError, match="outside the circuit"):
+        c.extend(Circuit(5).cx(0, 4))
+
+
+def test_extend_by_a_no_wider_circuit_appends_its_ops_in_order():
+    body = bell_circuit()
+    c = Circuit(3).x(2).extend(body).extend(body)
+    assert c.ops[1:] == body.ops + body.ops
+
+
 def test_run_bell_counts():
     shots = 100_000
     dist = run(bell_circuit().measure([0, 1]), shots, seed=11)

@@ -290,6 +290,23 @@ def test_qubit_cap_is_one_error_line_and_exit_2(capsys, monkeypatch):
     assert err == ["error: 21 qubits exceeds the cap 20"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("grover", "--n", "1000000000", "--marked", "1"),
+        ("grover", "--n", "1000000000", "--marked", "1", "--variant", "standard"),
+        ("count", "--n", "1000000000", "--marked", "1", "--m", "3"),
+    ],
+)
+def test_a_huge_register_is_refused_before_the_marked_strings_are_written(capsys, monkeypatch, argv):
+    """--n is checked against the cap first, so no 10^9-character string is built."""
+    monkeypatch.delenv("QSIM_MAX_QUBITS", raising=False)
+    monkeypatch.setattr("qsim.cli._bitstring", lambda *a: pytest.fail("wrote a marked string"))
+    code, out, err = run_failing(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err == ["error: 1000000000 qubits exceeds the cap 20"]
+
+
 def test_capped_shor_is_refused_before_simulation(capsys, monkeypatch):
     monkeypatch.setenv("QSIM_MAX_QUBITS", "12")
     code, out, err = run_failing(capsys, "shor", "--N", "21", "--a", "2", "--json")

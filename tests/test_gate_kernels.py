@@ -6,6 +6,8 @@ oracles between them, must give the same states and unitaries as applying the
 ops one at a time with the reference kernels.
 """
 
+import collections
+
 import numpy as np
 import pytest
 import qsim.circuit
@@ -335,6 +337,23 @@ def test_one_grover_iteration_compiles_to_few_kernels(marked):
     kernels = len(list(_kernels(two.ops))) - len(list(_kernels(one.ops)))
     assert ops >= 40
     assert kernels <= 12
+
+
+@pytest.mark.parametrize("variant", ["economical", "standard"])
+def test_grover_fusion_work_does_not_grow_with_iterations(monkeypatch, variant):
+    """Counted, not timed: the iterate is classified and kron'd once per call, whatever t is."""
+    counts = collections.Counter()
+    for name in ("_block", "classify"):
+        original = getattr(qsim.circuit, name)
+        monkeypatch.setattr(qsim.circuit, name, lambda *a, name=name, original=original: counts.update([name]) or original(*a))
+
+    def work(t):
+        counts.clear()
+        list(_kernels(grover_circuit(["0110100110010110"], 16, t, variant).ops))
+        return dict(counts)
+
+    assert work(2) == work(20)
+    assert work(2)["_block"] > 0 and work(2)["classify"] > 0
 
 
 def test_fused_blocks_skip_the_unitarity_check(monkeypatch):
