@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from ..circuit import Circuit
 from ..gates import dagger, rk_phase
 
@@ -23,11 +25,16 @@ def qft_circuit(n: int) -> Circuit:
     return c
 
 
+@functools.lru_cache(maxsize=None)
+def _inverse_qft_ops(n: int) -> tuple:
+    """Built and checked once per n: its daggered Gates are frozen and read-only, so they can be shared."""
+    return tuple(qft_circuit(n).inverse_ops())
+
+
 def inverse_qft_circuit(n: int) -> Circuit:
-    """Dagger of the transform: reversed ops with conjugated phases."""
+    """Dagger of the transform: reversed ops with conjugated phases, in a fresh circuit."""
     c = Circuit(n)
-    for op in qft_circuit(n).inverse_ops():
-        c.append_op(op)
+    c.ops.extend(_inverse_qft_ops(n))  # range-checked against n qubits when built
     return c
 
 

@@ -17,7 +17,8 @@ from ..numtheory import (
     mult_order,
 )
 from ..oracles import (
-    PermutationOracle,
+    XorOracle,
+    _power_table,
     _xor_oracle,
     modexp_oracle,
     smallest_power_of_two_above,
@@ -47,7 +48,7 @@ def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     q, m, n = shor_registers(modulus)
-    require_qubits(m + n)  # before the 2**(m+n) oracle mapping
+    require_qubits(m + n)  # before the 2**(m+n) state
     rng = np.random.default_rng(seed)
 
     c = h_layer(m, m + n).append(modexp_oracle(a, modulus, q), range(m + n))
@@ -159,15 +160,12 @@ def shor_factor(
     )
 
 
-def _dlog_function_oracle(modulus: int, a: int, b: int, m: int, n: int) -> PermutationOracle:
+def _dlog_function_oracle(modulus: int, a: int, b: int, m: int, n: int) -> XorOracle:
     """Permutation |x>|y>|z> -> |x>|y>|z xor (a^x b^y mod modulus)>."""
     require_qubits(2 * m + n)
-    values = np.empty(1 << (2 * m), dtype=np.int64)
-    for x in range(1 << m):
-        ax = mod_pow(a, x, modulus)
-        for y in range(1 << m):
-            values[(x << m) | y] = ax * mod_pow(b, y, modulus) % modulus
-    return _xor_oracle(values, n)
+    # an outer product of two power tables: each product is below modulus**2
+    values = _power_table(a, modulus, 1 << m)[:, None] * _power_table(b, modulus, 1 << m) % modulus
+    return _xor_oracle(values.reshape(-1), n)
 
 
 def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResult:

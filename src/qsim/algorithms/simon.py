@@ -6,7 +6,6 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..gf2 import BitMatrix, InsufficientRankError, rank, simon_postprocess
-from ..oracles import PermutationOracle
 from ..qstate import StateVector
 from .common import AlgorithmResult, conditional_readout, h_layer, readout
 
@@ -14,7 +13,7 @@ from .common import AlgorithmResult, conditional_readout, h_layer, readout
 def _round_circuit(oracle, n: int) -> Circuit:
     """Uniform first register through the oracle, from |0...0>: one circuit."""
     require_qubits(2 * n)
-    if isinstance(oracle, PermutationOracle):
+    if not isinstance(oracle, Circuit):  # a permutation or XOR oracle
         oracle = Circuit(oracle.total_qubits).append(oracle, range(oracle.total_qubits))
     if oracle.num_qubits != 2 * n:
         raise ValueError("oracle width must be 2n qubits")

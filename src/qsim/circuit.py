@@ -1,7 +1,7 @@
 """Circuit IR, exact simulation, shot sampling, and unitary extraction.
 
 Circuits are unitary op sequences; measurements, if declared, are terminal.
-An op binds an operator to its qubits: a gate, a permutation oracle or a
+An op binds an operator to its qubits: a gate, a permutation or XOR oracle or a
 step that applies itself in place (see ``gates``). A driver that measures one
 register before transforming another reads it out with
 ``algorithms.common.conditional_readout``, which transforms only the block
@@ -118,11 +118,11 @@ class Circuit:
         return self
 
     def inverse_ops(self) -> list:
-        """Applications of the dagger circuit: daggered gates, inverted oracle mappings and steps."""
+        """Applications of the dagger circuit: daggered gates, inverted oracles and steps."""
         out = []
         for op in reversed(self.ops):
             gate = op.gate
-            if gate._kind in ("map", "call"):
+            if gate._kind in ("map", "xor", "call"):
                 gate = gate.power(-1)
             elif not np.array_equal(gate.matrix.conj().T, gate.matrix):
                 gate = dagger(gate)

@@ -6,7 +6,8 @@ gate's own index space to ``targets[j]``, most significant first.
 
 An operator has ``arity``, ``name``, ``power(e)``, a kernel kind ``_kind`` and
 a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
-(its mapping, kind "map") or counting's step (itself, kind "call").
+(its mapping, kind "map"), an XorOracle (its value table, kind "xor") or
+counting's step (itself, kind "call").
 ``apply_kernel`` is the one code path that changes amplitudes. A matrix is
 classified once: a diagonal multiplies only its non-unit slices, a 0/1
 permutation exchanges slices, and a dense k-qubit matrix is a batch of small
@@ -21,6 +22,10 @@ contiguous trailing axis of the control-selected view, so the kernel gathers
 along it by the inverse mapping, built per call at 2**k entries. On all n
 qubits, or on targets elsewhere, it scatters the moved block by the mapping
 itself, so no 2**n inverse is ever allocated.
+
+An "xor" kernel (|x>|y> -> |x>|y xor values[x]>, its own inverse) gathers
+each chunk of rows x on the trailing qubits by y xor values[x], and runs the
+"map" scatter on its full mapping on targets elsewhere.
 """
 
 from __future__ import annotations
@@ -187,6 +192,30 @@ def inverse_permutation(mapping: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def xor_mapping(values: np.ndarray, n_out: int) -> np.ndarray:
+    """The permutation |x>|y> -> |x>|y xor values[x]> of basis indices, y on the last ``n_out`` bits."""
+    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
+    return mapping.reshape(-1)
+
+
+def _xor_gather(view: np.ndarray, values: np.ndarray) -> None:
+    """In-place |x>|y> -> |x>|y xor values[x]> on a ``(..., 2**m, 2**n_out, batch)`` view: each
+    contiguous chunk of rows x is gathered into one small buffer and written back through the view."""
+    y_size, batch = view.shape[-2:]
+    rows = min(len(values), max(1, _CHUNK_SIZE // (y_size * batch)))
+    y, offsets = np.arange(y_size), np.arange(rows)[:, None] * y_size
+    source = np.empty((rows, y_size), dtype=np.int64)
+    buf = np.empty((rows * y_size, batch), dtype=view.dtype)
+    for x in range(0, len(values), rows):
+        np.bitwise_xor(y, values[x : x + rows, None], out=source)
+        source |= offsets
+        for lead in np.ndindex(view.shape[:-3]):
+            chunk = view[(*lead, slice(x, x + rows))]
+            # "clip" lets take write into ``out`` unbuffered; every index is in range
+            np.take(chunk.reshape(-1, batch), source.reshape(-1), axis=0, out=buf, mode="clip")
+            chunk[...] = buf.reshape(chunk.shape)
+
+
 def _tile_length(length: int, k: int) -> int:
     """Columns (or rows) per tile of a k-qubit block product: all ``length`` of them if k > _TILED_QUBITS."""
     return length if k > _TILED_QUBITS else math.gcd(length, _GEMM_SIZE >> 2 * k)
@@ -318,12 +347,17 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
     trailing = tuple(targets) == tuple(range(num_qubits - k, num_qubits))
     if kind == "call" and not trailing:
         raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
-    if kind == "call" or (kind == "map" and trailing and k < num_qubits):
+    if kind == "xor" and not trailing:
+        kind, operand = "map", xor_mapping(operand, k - (len(operand).bit_length() - 1))
+    if kind in ("call", "xor") or (kind == "map" and trailing and k < num_qubits):
         # the trailing k qubits stay one contiguous axis of the control-selected (..., 2**k, batch) view
         index = [slice(None)] * (num_qubits - k)
         for q, v in controls:
             index[q] = v
         view = amps.reshape([2] * (num_qubits - k) + [1 << k, -1])[(*index, ...)]
+        if kind == "xor":
+            _xor_gather(view.reshape(*view.shape[:-2], len(operand), -1, view.shape[-1]), operand)
+            return
         if kind == "call":
             operand(np.moveaxis(view, -1, -2))
             return

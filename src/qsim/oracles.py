@@ -2,6 +2,9 @@
 circuits with ancilla mirrors, phase oracles, CNOT banks for linear functions,
 Toffoli ladders, and modular-arithmetic permutation operators.
 
+An oracle |x>|y> -> |x>|y xor f(x)> is an ``XorOracle``, kept as its table
+of f, not as a 2**(m+n) ``PermutationOracle`` mapping.
+
 Truth-table synthesis is deliberately verbatim disjunctive normal form, one
 multi-controlled X per output 1; no logic minimization.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, require_qubits, simulate
-from .gates import GateApplication, inverse_permutation
+from .gates import GateApplication, inverse_permutation, xor_mapping
 from .numtheory import mult_order
 from .qstate import StateVector, _bitstring
 
@@ -177,6 +180,46 @@ class PermutationOracle:
 
     def is_involution(self) -> bool:
         return bool(np.array_equal(self.mapping[self.mapping], np.arange(len(self.mapping))))
+
+
+@dataclass(frozen=True)
+class XorOracle:
+    """|x>|y> -> |x>|y xor values[x]>, y on the last ``n_out`` qubits: a circuit operator of kind
+    ``"xor"``. Any values below 2**n_out make a bijection, so only their range is checked."""
+
+    values: np.ndarray
+    n_out: int
+
+    name = "oracle"
+    _kind = "xor"
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.int64)
+        if values.ndim != 1 or values.size & (values.size - 1) or not values.size:
+            raise ValueError("the value table's length must be a power of 2")
+        if values.min() < 0 or values.max() >= 1 << self.n_out:
+            raise ValueError(f"every value must lie in [0, 2**{self.n_out})")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_operand", values)
+
+    @property
+    def total_qubits(self) -> int:
+        return self.values.size.bit_length() - 1 + self.n_out
+
+    arity = total_qubits
+
+    @property
+    def mapping(self) -> np.ndarray:
+        """The 2**(m+n_out) permutation of basis indices, built on each read."""
+        return xor_mapping(self.values, self.n_out)
+
+    def power(self, e: int) -> "XorOracle":
+        """Itself for odd e, the identity (an XOR by 0) for even e."""
+        return self if e % 2 else XorOracle(np.zeros_like(self.values), self.n_out)
+
+    def is_involution(self) -> bool:
+        return True
 
 
 def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, controls=()) -> StateVector:
@@ -380,18 +423,21 @@ def _modexp_sizes(modulus: int, q: int):
     return m, n
 
 
-def modexp_oracle(a: int, modulus: int, q: int) -> PermutationOracle:
+def _power_table(a: int, modulus: int, count: int) -> np.ndarray:
+    """a**e mod modulus for e < count: one period of mult_order(a, modulus) powers, tiled."""
+    period = [1]
+    for _ in range(mult_order(a, modulus) - 1):
+        period.append(period[-1] * a % modulus)
+    return np.resize(np.array(period, dtype=np.int64), count)
+
+
+def modexp_oracle(a: int, modulus: int, q: int) -> XorOracle:
     """Permutation (l, y) -> (l, y xor (a**l mod modulus)) on log2(q)+ceil(log2 N) qubits."""
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     m, n = _modexp_sizes(modulus, q)
     require_qubits(m + n)
-    powers = np.empty(q, dtype=np.int64)
-    value = 1
-    for ell in range(q):
-        powers[ell] = value
-        value = (value * a) % modulus
-    return _xor_oracle(powers, n)
+    return _xor_oracle(_power_table(a, modulus, q), n)
 
 
 def modmul_oracle(a: int, modulus: int) -> PermutationOracle:
@@ -433,13 +479,12 @@ def smallest_power_of_two_above(threshold: int) -> int:
     return q
 
 
-def xor_permutation_oracle(tt: TruthTable) -> PermutationOracle:
+def xor_permutation_oracle(tt: TruthTable) -> XorOracle:
     """The defining permutation |x>|y> -> |x>|y xor f(x)> of a truth table."""
     outs = np.array([tt.output_int(x) for x in range(1 << tt.n_in)], dtype=np.int64)
     return _xor_oracle(outs, tt.n_out)
 
 
-def _xor_oracle(values: np.ndarray, n_out: int) -> PermutationOracle:
+def _xor_oracle(values: np.ndarray, n_out: int) -> XorOracle:
     """|x>|y> -> |x>|y xor values[x]>, with y on the last ``n_out`` qubits."""
-    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
-    return PermutationOracle(len(values).bit_length() - 1 + n_out, mapping.reshape(-1))
+    return XorOracle(values, n_out)

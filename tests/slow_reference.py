@@ -13,13 +13,20 @@ runs were swept in chunks; the chunk walker must match it bit for bit.
 ``reference_fusion`` is the fusion pass without its per-call memo: every
 product, classification and block is computed afresh, so the memoized pass
 must emit the same kernel stream.
+``reference_xor_oracle`` builds an XOR oracle as the full 2**(m+n) permutation
+it was before XOR oracles kept only their value table, and
+``reference_inverse_qft_circuit`` rebuilds the inverse transform on every call;
+``reference_modexp_values`` and ``reference_dlog_values`` are the value tables'
+original per-element loops.
 """
 
 import numpy as np
 
-from qsim.circuit import BLOCK_QUBITS
+from qsim.algorithms.qft import qft_circuit
+from qsim.circuit import BLOCK_QUBITS, Circuit
 from qsim.gates import Gate, apply_kernel, classify
-from qsim.oracles import PermutationOracle
+from qsim.numtheory import mod_pow
+from qsim.oracles import PermutationOracle, XorOracle
 from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
 
 
@@ -35,9 +42,12 @@ def reference_run(amps: np.ndarray, circuit) -> np.ndarray:
     n = circuit.num_qubits
     out = np.array(amps, dtype=complex)
     for op in circuit.ops:
-        if isinstance(op.gate, PermutationOracle):
+        if isinstance(op.gate, (PermutationOracle, XorOracle)):
+            oracle = op.gate
+            if isinstance(oracle, XorOracle):
+                oracle = reference_xor_oracle(oracle.values, oracle.n_out)
             columns = out.reshape(1 << n, -1).T
-            moved = [reference_apply_permutation(StateVector(n, col.copy()), op.gate, op.targets, op.controls) for col in columns]
+            moved = [reference_apply_permutation(StateVector(n, col.copy()), oracle, op.targets, op.controls) for col in columns]
             out = np.stack([s.amps for s in moved], axis=1).reshape(out.shape)
         else:
             reference_apply_to_array(out, n, op)
@@ -110,6 +120,40 @@ def reference_fusion(ops):
             yield from _reference_flush(pending)
         yield op.gate._kind, op.gate._operand, op.targets, op.controls
     yield from _reference_flush(pending)
+
+
+def reference_xor_oracle(values: np.ndarray, n_out: int) -> PermutationOracle:
+    """|x>|y> -> |x>|y xor values[x]> as a checked 2**(m+n_out) permutation, y on the last n_out qubits."""
+    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
+    return PermutationOracle(len(values).bit_length() - 1 + n_out, mapping.reshape(-1))
+
+
+def reference_inverse_qft_circuit(n: int) -> Circuit:
+    """The inverse transform, its daggered gates built and checked afresh."""
+    c = Circuit(n)
+    for op in qft_circuit(n).inverse_ops():
+        c.append_op(op)
+    return c
+
+
+def reference_modexp_values(a: int, modulus: int, q: int) -> np.ndarray:
+    """a**l mod modulus for l < q, one multiplication per entry."""
+    powers = np.empty(q, dtype=np.int64)
+    value = 1
+    for ell in range(q):
+        powers[ell] = value
+        value = (value * a) % modulus
+    return powers
+
+
+def reference_dlog_values(modulus: int, a: int, b: int, m: int) -> np.ndarray:
+    """a**x b**y mod modulus at index (x << m) | y, two mod_pow calls per entry."""
+    values = np.empty(1 << (2 * m), dtype=np.int64)
+    for x in range(1 << m):
+        ax = mod_pow(a, x, modulus)
+        for y in range(1 << m):
+            values[(x << m) | y] = ax * mod_pow(b, y, modulus) % modulus
+    return values
 
 
 def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=()) -> StateVector:
