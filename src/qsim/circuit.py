@@ -14,12 +14,18 @@ times (Grover's iterate) is fused once per call, not t times. From
 |0...0>, ``simulate`` builds the product state of the leading kernels directly.
 ``_run`` then joins each sequence of consecutive 1-qubit dense or diagonal
 kernels on one target into one "run", swept over the state chunk by chunk.
+
+Before fusion, ``simulate`` runs each exact occurrence of a registered op tuple
+(the same objects in the same order) as the one op registered for it: a Fourier
+transform the library built runs as one in-place FFT, one rebuilt from fresh ops
+gate by gate. ``unitary_of`` runs the gates as written, as ``qsim qft-check`` checks them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 
 import numpy as np
@@ -128,6 +134,27 @@ class Circuit:
                 gate = dagger(gate)
             out.append(GateApplication(gate, op.targets, op.controls))
         return out
+
+
+# id of each registered tuple's first op -> (the tuple, the op that replaces it)
+_REGISTERED: dict = {}
+
+
+def register_transform(ops: tuple, op) -> None:
+    """Let ``simulate`` run each exact occurrence of ``ops`` as ``op``; ``ops`` must live for good
+    (a cached tuple), so the id of its first op is never reused."""
+    _REGISTERED[id(ops[0])] = ops, op
+
+
+def _recognized(ops):
+    """``ops`` with each exact occurrence of a registered tuple replaced by its one op."""
+    i = 0
+    while i < len(ops):
+        seq, op = _REGISTERED.get(id(ops[i]), ((ops[i],), ops[i]))
+        if len(seq) > len(ops) - i or not all(map(operator.is_, ops[i : i + len(seq)], seq)):
+            seq, op = (ops[i],), ops[i]
+        yield op
+        i += len(seq)
 
 
 def _flush(pending: dict, memo: dict) -> list:
@@ -261,10 +288,11 @@ def simulate(c: Circuit, initial: StateVector | None = None) -> StateVector:
     """The circuit's ops applied to ``initial`` (default |0...0>); measurements are ignored.
 
     From |0...0>, the leading kernels that put each of their qubits in a product
-    state are not run: their state is built directly (``_prefix_state``).
+    state are not run: their state is built directly (``_prefix_state``). Each
+    registered transform in the ops runs as its one op (``_recognized``).
     """
     require_qubits(c.num_qubits)
-    kernels = _kernels(c.ops)
+    kernels = _kernels(_recognized(c.ops))
     if initial is None:
         amps, kernels = _prefix_state(c.num_qubits, kernels)
     elif initial.num_qubits != c.num_qubits:
@@ -289,7 +317,8 @@ def run(c: Circuit, shots: int, seed: int) -> Distribution:
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
-    """Materialize the circuit's composite operator, column by basis column."""
+    """Materialize the circuit's composite operator, column by basis column, from its gates as
+    written: no transform is recognized, so ``qsim qft-check`` checks the QFT's decomposition."""
     if c.num_qubits > UNITARY_MAX_QUBITS:
         raise ResourceLimitError(
             f"unitary extraction is capped at {UNITARY_MAX_QUBITS} qubits"

@@ -7,7 +7,10 @@ gate's own index space to ``targets[j]``, most significant first.
 An operator has ``arity``, ``name``, ``power(e)``, a kernel kind ``_kind`` and
 a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
 (its mapping, kind "map"), an XorOracle (its value table, kind "xor") or
-counting's step (itself, kind "call").
+counting's step (itself, kind "call"). Operators and ops compare by identity.
+A whole Fourier transform on adjacent qubits, which ``simulate`` runs in place
+of its cached gates, is kind "fft": its operand names the ``np.fft`` function,
+applied in place along the register's axis with the unitary norm.
 ``apply_kernel`` is the one code path that changes amplitudes. A matrix is
 classified once: a diagonal multiplies only its non-unit slices, a 0/1
 permutation exchanges slices, and a dense k-qubit matrix is a batch of small
@@ -70,7 +73,7 @@ def is_unitary(m, tol: float = UNITARY_ATOL) -> bool:
     return bool(np.max(np.abs(delta)) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
     """Named unitary block acting on ``arity`` qubits."""
 
@@ -97,7 +100,7 @@ class Gate:
         return Gate(f"{self.name}^{e}", np.linalg.matrix_power(self.matrix, e))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateApplication:
     """An operator (gate, permutation oracle or step) bound to targets plus polarity-tagged controls."""
 
@@ -327,6 +330,11 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
     """
     k = len(targets)
     lo = targets[0]
+    if kind == "fft":
+        # the register's index is the middle axis; since NumPy 2.0 the transform can write in place
+        view = amps.reshape(1 << lo, 1 << k, -1)
+        getattr(np.fft, operand)(view, axis=1, norm="ortho", out=view)
+        return
     if kind == "run" or (kind == "dense" and k == 1):
         _sweep(amps, num_qubits, lo, operand if kind == "run" else ((kind, operand, controls),))
         return

@@ -136,7 +136,7 @@ class Xor(BooleanExpr):
         return max(self.left.max_var(), self.right.max_var())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationOracle:
     """Bijection on basis indices: a circuit operator whose ``"map"`` kernel moves |x> to |mapping[x]>."""
 
@@ -182,7 +182,7 @@ class PermutationOracle:
         return bool(np.array_equal(self.mapping[self.mapping], np.arange(len(self.mapping))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XorOracle:
     """|x>|y> -> |x>|y xor values[x]>, y on the last ``n_out`` qubits: a circuit operator of kind
     ``"xor"``. Any values below 2**n_out make a bijection, so only their range is checked."""

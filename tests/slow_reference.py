@@ -15,7 +15,9 @@ product, classification and block is computed afresh, so the memoized pass
 must emit the same kernel stream.
 ``reference_xor_oracle`` builds an XOR oracle as the full 2**(m+n) permutation
 it was before XOR oracles kept only their value table, and
-``reference_inverse_qft_circuit`` rebuilds the inverse transform on every call;
+``reference_inverse_qft_circuit`` and ``reference_inverse_qft_registers`` rebuild
+the inverse transform on every call, from fresh ops that ``simulate`` runs gate
+by gate, not as one FFT;
 ``reference_modexp_values`` and ``reference_dlog_values`` are the value tables'
 original per-element loops.
 """
@@ -133,6 +135,15 @@ def reference_inverse_qft_circuit(n: int) -> Circuit:
     c = Circuit(n)
     for op in qft_circuit(n).inverse_ops():
         c.append_op(op)
+    return c
+
+
+def reference_inverse_qft_registers(m: int, width: int, starts) -> Circuit:
+    """Each register's inverse transform, every op built afresh, so ``simulate`` runs it gate by gate."""
+    c = Circuit(width)
+    for start in starts:
+        for op in reference_inverse_qft_circuit(m).ops:
+            c.append(op.gate, [t + start for t in op.targets], [(q + start, v) for q, v in op.controls])
     return c
 
 

@@ -166,3 +166,18 @@ def test_conjugation_identities():
 def test_dagger():
     t = standard_gate("T")
     assert np.allclose(dagger(t).matrix, standard_gate("Tdg").matrix)
+
+
+def test_ops_and_operators_compare_and_hash_by_identity():
+    """Equal but distinct ops are different ops; comparing or hashing one never reads its arrays."""
+    from qsim.oracles import PermutationOracle, XorOracle
+
+    a, b = GateApplication(standard_gate("H"), (0,)), GateApplication(standard_gate("H"), (0,))
+    assert a != b and a == a and len({a, b, a}) == 2
+    # the same gate on the same qubit, twice: still two ops
+    assert GateApplication(H, (0,), ((1, 1),)) != GateApplication(H, (0,), ((1, 1),))
+    assert standard_gate("H") != standard_gate("H")
+    assert PermutationOracle(1, [1, 0]) != PermutationOracle(1, [1, 0])
+    assert XorOracle([0, 1], 1) != XorOracle([0, 1], 1)
+    oracle = XorOracle([0, 1], 1)
+    assert len({H, oracle, PermutationOracle(1, [1, 0]), oracle}) == 3

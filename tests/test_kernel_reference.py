@@ -161,6 +161,14 @@ def _same_bits(fast, slow):
     return np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
 
 
+def _walked(amps, n, c):
+    """A copy of ``amps`` after the chunk walker runs the circuit's gates as written: ``simulate``
+    would run a transform the library built as one FFT, which ``test_fft_transforms`` checks."""
+    out = amps.copy()
+    _run(out, n, _kernels(c.ops))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _psi(n):
     """One random n-qubit state per n, shared by the tests below; read only."""
@@ -221,7 +229,7 @@ def test_controlled_runs_match_reference_bits(n, target, controls):
 def test_fourier_transform_runs_match_reference_bits(n, inverse):
     c = inverse_qft_circuit(n) if inverse else qft_circuit(n)
     psi = _psi(n)
-    assert _same_bits(simulate(c, psi).amps, reference_kernels(psi.amps, n, _kernels(c.ops)))
+    assert _same_bits(_walked(psi.amps, n, c), reference_kernels(psi.amps, n, _kernels(c.ops)))
 
 
 def test_qft_stages_are_runs():
@@ -248,6 +256,8 @@ def test_runs_match_reference_bits_from_any_state(c, seed, sparse):
         amps[0] += 1
         amps *= np.where(rng.random(1 << n) < 0.5, -1, 1)
     psi = StateVector(n, amps / np.linalg.norm(amps))
-    assert _same_bits(simulate(c, psi).amps, reference_kernels(psi.amps, n, _kernels(c.ops)))
+    walked = _walked(psi.amps, n, c)
+    assert _same_bits(walked, reference_kernels(psi.amps, n, _kernels(c.ops)))
+    assert np.max(np.abs(simulate(c, psi).amps - walked)) <= 1e-12
     eye = np.eye(1 << n, dtype=complex)
     assert _same_bits(unitary_of(c), reference_kernels(eye, n, _kernels(c.ops)))

@@ -3,11 +3,13 @@
 The ``"xor"`` kernel must move amplitudes exactly as the index-arithmetic
 reference moves them under the full permutation (``reference_xor_oracle``),
 on the trailing qubits (a chunked gather) and elsewhere (the ``"map"``
-scatter). The drivers must give the raw bits of the full-permutation oracles
-and of an inverse transform rebuilt on every call.
+scatter). The drivers must give the raw bits of the full-permutation oracles.
+With an inverse transform rebuilt on every call, which runs gate by gate
+instead of as the FFT, they must give the same answers and laws to 1e-12.
 """
 
 import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsim import algorithms as alg
-from qsim.algorithms.qft import inverse_qft_circuit
+from qsim.algorithms.qft import inverse_qft_circuit, inverse_qft_registers
 from qsim.algorithms.shor import _dlog_function_oracle
 from qsim.circuit import Circuit, simulate, unitary_of
 from qsim.gates import Gate
@@ -30,6 +32,7 @@ from slow_reference import (
     reference_apply_permutation,
     reference_dlog_values,
     reference_inverse_qft_circuit,
+    reference_inverse_qft_registers,
     reference_modexp_values,
     reference_run,
     reference_xor_oracle,
@@ -190,16 +193,32 @@ DRIVERS = [
 ]
 
 
+def _same_results(fast, slow):
+    return fast.answer == slow.answer and fast.rounds_used == slow.rounds_used and fast.success == slow.success
+
+
 @pytest.mark.parametrize("driver", DRIVERS)
-def test_drivers_match_full_permutations_and_a_rebuilt_transform_bit_for_bit(monkeypatch, driver):
+def test_drivers_match_full_permutations_bit_for_bit(monkeypatch, driver):
     fast = driver()
     for module in (qsim.oracles, qsim.algorithms.shor):
         monkeypatch.setattr(module, "_xor_oracle", reference_xor_oracle)
+    slow = driver()
+    assert _same_results(fast, slow)
+    assert _same_bits(fast.exact_distribution.values, slow.exact_distribution.values)
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_drivers_match_a_rebuilt_transform(monkeypatch, driver):
+    """A transform rebuilt from fresh ops runs gate by gate, not as the FFT: the same answers, laws to 1e-12."""
+    fast = driver()
     for module in (qsim.algorithms.qft, qsim.algorithms.shor):
         monkeypatch.setattr(module, "inverse_qft_circuit", reference_inverse_qft_circuit)
+    # the package's ``qpe`` function hides the module of that name
+    for module in (qsim.algorithms.shor, importlib.import_module("qsim.algorithms.qpe")):
+        monkeypatch.setattr(module, "inverse_qft_registers", reference_inverse_qft_registers)
     slow = driver()
-    assert fast.answer == slow.answer and fast.rounds_used == slow.rounds_used and fast.success == slow.success
-    assert _same_bits(fast.exact_distribution.values, slow.exact_distribution.values)
+    assert _same_results(fast, slow)
+    assert np.max(np.abs(fast.exact_distribution.values - slow.exact_distribution.values)) <= 1e-12
 
 
 def test_a_shor_round_builds_no_permutation(monkeypatch):
@@ -230,9 +249,14 @@ def test_a_returned_inverse_transform_can_be_extended_without_changing_the_next(
     c.ops.reverse()
     assert _same_ops(inverse_qft_circuit(5).ops, before)
     psi = random_state(5, rng)
-    assert _same_bits(simulate(inverse_qft_circuit(5), psi).amps, simulate(reference_inverse_qft_circuit(5), psi).amps)
+    fast, slow = simulate(inverse_qft_circuit(5), psi).amps, simulate(reference_inverse_qft_circuit(5), psi).amps
+    assert np.max(np.abs(fast - slow)) <= 1e-12
 
 
 def test_an_empty_inverse_transform_is_refused():
     with pytest.raises(ValueError):
         inverse_qft_circuit(0)
+    # a register that starts past qubit 0 is built on its own, not shifted from a checked one
+    for starts in ((2,), ()):
+        with pytest.raises(ValueError):
+            inverse_qft_registers(0, 4, starts)
