@@ -11,9 +11,8 @@ per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits, and
 every kernel is chosen by operator structure (``gates.apply_kernel``). The
 pass memoizes its products and flushes within one call, so a body repeated t
 times (Grover's iterate) is fused once per call, not t times. From
-|0...0>, ``simulate`` builds the product state of the leading kernels directly.
-``_run`` then joins each sequence of consecutive 1-qubit dense or diagonal
-kernels on one target into one "run", swept over the state chunk by chunk.
+|0...0>, ``simulate`` builds the product state of the leading kernels directly;
+``_run`` applies the rest one at a time.
 
 Before fusion, ``simulate`` runs each exact occurrence of a registered op tuple
 (the same objects in the same order) as the one op registered for it: a Fourier
@@ -232,22 +231,8 @@ def _kernels(ops):
     yield from _flush(pending, flushes)
 
 
-def _runs(kernels):
-    """The kernels, with two or more consecutive 1-qubit dense or diagonal kernels on one
-    target (an H and its controlled-phase cascade, say) joined into one "run"."""
-
-    def run_target(kernel):
-        # a fresh object() equals no other key, so any other kernel stays alone
-        return kernel[2] if len(kernel[2]) == 1 and kernel[0] in ("dense", "diag") else object()
-
-    for targets, group in itertools.groupby(kernels, run_target):
-        group = list(group)
-        steps = tuple((kind, operand, controls) for kind, operand, _, controls in group)
-        yield group[0] if len(group) == 1 else ("run", steps, targets, ())
-
-
 def _run(amps: np.ndarray, num_qubits: int, kernels) -> None:
-    for kernel in _runs(kernels):
+    for kernel in kernels:
         apply_kernel(amps, num_qubits, *kernel)
 
 

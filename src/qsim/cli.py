@@ -217,6 +217,7 @@ def _count(args):
 
 
 def _qft_check(args):
+    require_qubits(args.n)  # before building and caching the transform's gates
     c = algorithms.qft_circuit(args.n)
     max_error = None
     if args.n <= 12:

@@ -43,9 +43,6 @@ class BitMatrix:
             raise ValueError("rows must have uniform width")
         return cls(width, tuple(_pack(b) for b in bitstrings))
 
-    def row_strings(self) -> list:
-        return [_bitstring(r, self.width) for r in self.rows]
-
 
 def _eliminate(m: BitMatrix):
     """Row echelon form; returns (reduced rows, pivot column list)."""

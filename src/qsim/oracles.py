@@ -442,6 +442,8 @@ def modexp_oracle(a: int, modulus: int, q: int) -> XorOracle:
 
 def modmul_oracle(a: int, modulus: int) -> PermutationOracle:
     """Permutation y -> a*y mod modulus for y < modulus, identity above."""
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)

@@ -8,8 +8,8 @@ is the one-matmul gate kernel that ran every gate before kernels were chosen
 by gate structure and fused; ``reference_run`` applies a circuit's ops one
 at a time with it, and a permutation oracle's with ``reference_apply_permutation``.
 ``reference_kernels`` applies fused kernels one at a time, each 1-qubit dense one
-by ``reference_one_qubit_dense``, the half-view kernel that ran them before
-runs were swept in chunks; the chunk walker must match it bit for bit.
+by ``reference_one_qubit_dense``, the half-view kernel that ran them before the
+chunk walker; the walker must match it bit for bit.
 ``reference_fusion`` is the fusion pass without its per-call memo: every
 product, classification and block is computed afresh, so the memoized pass
 must emit the same kernel stream.

@@ -216,6 +216,10 @@ def test_bad_argument_values_exit_2(capsys):
         ["count", "--n", "2", "--marked", "01", "--m", "0"],
         ["grover", "--n", "3", "--marked", "9", "--variant", "standard"],
         ["dlog", "--N", "21", "--a", "2", "--b", "4"],
+        ["qpe-order", "--N", "0", "--a", "1"],
+        ["qpe-order", "--N", "1", "--a", "1"],
+        ["qft-check", "--n", "21"],
+        ["qft-check", "--n", "100000"],
     ):
         assert exit_code(argv) == 2, argv
         lines = capsys.readouterr().err.strip().splitlines()

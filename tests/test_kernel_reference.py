@@ -4,8 +4,8 @@ Agreement is exact: same amplitudes bit for bit, same outcome and probability,
 and the generator left in the same state. The drivers' read-out, which
 transforms only the block conditional on the measured value, must draw the
 same values as a full collapse followed by the transform. The chunk walker
-that runs each sequence of 1-qubit kernels on one target must give the raw
-bits of the half-view kernels it replaced, applied one kernel at a time.
+that runs each 1-qubit dense kernel must give the raw bits of the half-view
+kernel it replaced.
 """
 
 import functools
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from qsim.algorithms.common import conditional_readout
 from qsim.algorithms.qft import inverse_qft_circuit, qft_circuit
-from qsim.circuit import Circuit, _kernels, _run, _runs, simulate, unitary_of
+from qsim.circuit import Circuit, _kernels, _run, simulate, unitary_of
 from qsim.gates import apply_kernel, rk_phase, rz, standard_gate, u_gate
 from qsim.oracles import PermutationOracle, apply_permutation
 from qsim.qstate import StateVector, measure
@@ -177,7 +177,7 @@ def _psi(n):
 
 @pytest.mark.parametrize("n", [16, 20])
 def test_one_qubit_kernel_matches_reference_bits_on_every_target(n):
-    """A lone 1-qubit dense kernel is a run of one; a fused real product keeps its float64 operand.
+    """A fused real product keeps its float64 operand through the chunk walker.
 
     Both sides carry one state through every target in turn, checked after each."""
     real, cplx = standard_gate("H").matrix.real.copy(), u_gate(0.4, 1.3, -2.1).matrix
@@ -199,9 +199,9 @@ CONTROL_CASES = [
 ]
 
 
-def _controlled_run(n, target, controls):
+def _controlled_gates(n, target, controls):
     """Controlled dense and diagonal gates on one target under each control, a pair, all of
-    them, and each of those with every polarity flipped: one run of 36 kernels."""
+    them, and each of those with every polarity flipped: 36 kernels in a row."""
     c = Circuit(n).h(target)
     subsets = [(q,) for q in controls] + [controls[:2], controls]
     for subset in subsets + [tuple((q, 1 - v) for q, v in s) for s in subsets]:
@@ -211,10 +211,9 @@ def _controlled_run(n, target, controls):
 
 
 @pytest.mark.parametrize("n,target,controls", CONTROL_CASES)
-def test_controlled_runs_match_reference_bits(n, target, controls):
-    c = _controlled_run(n, target, controls)
+def test_controlled_kernels_match_reference_bits(n, target, controls):
+    c = _controlled_gates(n, target, controls)
     kernels = list(_kernels(c.ops))
-    assert [kind for kind, *_ in _runs(iter(kernels))] == ["run"]
     psi = random_state(n, np.random.default_rng(target)).amps
     assert _same_bits(simulate(c, StateVector(n, psi)).amps, reference_kernels(psi, n, kernels))
     # a batch of three columns folds into the walker's column axis
@@ -230,13 +229,6 @@ def test_fourier_transform_runs_match_reference_bits(n, inverse):
     c = inverse_qft_circuit(n) if inverse else qft_circuit(n)
     psi = _psi(n)
     assert _same_bits(_walked(psi.amps, n, c), reference_kernels(psi.amps, n, _kernels(c.ops)))
-
-
-def test_qft_stages_are_runs():
-    """Counted: each qubit's H and controlled-phase cascade is one kernel call."""
-    n = 8
-    kinds = [kind for kind, *_ in _runs(_kernels(qft_circuit(n).ops))]
-    assert kinds == ["run"] * (n - 1) + ["dense"] + ["perm"] * (n // 2)
 
 
 @settings(max_examples=30, deadline=None)
