@@ -1,18 +1,19 @@
 """Circuit IR, exact simulation, shot sampling, and unitary extraction.
 
 Circuits are unitary op sequences; measurements, if declared, are terminal.
-An op binds an operator to its qubits: a gate, a permutation or XOR oracle or a
-step that applies itself in place (see ``gates``). A driver that measures one
+An op binds an operator to its qubits: a gate, a permutation, XOR or phase
+oracle or a step that applies itself in place (see ``gates``); a phase oracle,
+which has no matrix, is its own inverse. A driver that measures one
 register before transforming another reads it out with
 ``algorithms.common.conditional_readout``, which transforms only the block
 conditional on the drawn value. ``simulate`` and ``unitary_of`` run a circuit
 through one fusion pass: runs of uncontrolled 1-qubit gates become one product
-per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits, and
-every kernel is chosen by operator structure (``gates.apply_kernel``). The
-pass memoizes its products and flushes within one call, so a body repeated t
-times (Grover's iterate) is fused once per call, not t times. From
-|0...0>, ``simulate`` builds the product state of the leading kernels directly;
-``_run`` applies the rest one at a time.
+per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits (a
+diagonal product as its vector), and every kernel is chosen by operator
+structure (``gates.apply_kernel``). The pass memoizes its products and flushes
+within one call, so a body repeated t times (Grover's iterate) is fused once
+per call, not t times. From |0...0>, ``simulate`` builds the product state of
+the leading kernels directly; ``_run`` applies the rest one at a time.
 
 Before fusion, ``simulate`` runs each exact occurrence of a registered op tuple
 (the same objects in the same order) as the one op registered for it: a Fourier
@@ -127,7 +128,7 @@ class Circuit:
         out = []
         for op in reversed(self.ops):
             gate = op.gate
-            if gate._kind in ("map", "xor", "call"):
+            if not isinstance(gate, Gate):
                 gate = gate.power(-1)
             elif not np.array_equal(gate.matrix.conj().T, gate.matrix):
                 gate = dagger(gate)
@@ -170,7 +171,7 @@ def _flush(pending: dict, memo: dict) -> list:
             matrix = pending[q]
             kind = classify(matrix)
             if kind != "dense":
-                kernels.append((kind, matrix, (q,), ()))
+                kernels.append((kind, matrix.diagonal() if kind == "diag" else matrix, (q,), ()))
                 continue
             if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
                 kernels.append(_block(run, pending))
@@ -253,7 +254,9 @@ def _prefix_state(num_qubits: int, kernels):
         if kind not in ("dense", "diag", "perm") or controls or not fresh:
             kernels = itertools.chain([kernel], kernels)
             break
-        columns[lo] = operand[:, 0].reshape([2] * k)
+        # a diagonal's operand is its vector d, so its first column is d[0] e_0
+        column = np.where(np.arange(1 << k), 0, operand[0]) if kind == "diag" else operand[:, 0]
+        columns[lo] = column.reshape([2] * k)
         touched.update(targets)
     amps = np.zeros(1 << num_qubits, dtype=complex)
     index = [slice(None) if q in touched else 0 for q in range(num_qubits)]

@@ -5,18 +5,21 @@ Controls carry a polarity: ``(qubit, 1)`` activates on |1> (filled circle),
 gate's own index space to ``targets[j]``, most significant first.
 
 An operator has ``arity``, ``name``, ``power(e)``, a kernel kind ``_kind`` and
-a kernel operand ``_operand``: a ``Gate`` (its matrix), a PermutationOracle
-(its mapping, kind "map"), an XorOracle (its value table, kind "xor") or
-counting's step (itself, kind "call"). Operators and ops compare by identity.
+a kernel operand ``_operand``: a ``Gate`` (its matrix; a diagonal one's vector),
+a PhaseOracle (its +-1 signs, kind "diag"), a PermutationOracle (its mapping,
+kind "map"), an XorOracle (its value table, kind "xor") or counting's step
+(itself, kind "call"). Operators and ops compare by identity.
 A whole Fourier transform on adjacent qubits, which ``simulate`` runs in place
 of its cached gates, is kind "fft": its operand names the ``np.fft`` function,
 applied in place along the register's axis with the unitary norm.
 ``apply_kernel`` is the one code path that changes amplitudes. A matrix is
-classified once: a diagonal multiplies only its non-unit slices, a 0/1
-permutation exchanges slices, and a dense k-qubit matrix is a batch of small
-matmuls (real ones on the float view of the amplitudes when the matrix is
-real). A dense 1-qubit matrix is applied by a walk over cache-sized chunks of
-the state, each copied into one small buffer and back.
+classified once. A diagonal's vector d, uncontrolled on k > 1 adjacent qubits,
+multiplies the (before, 2**k, after) view at once; otherwise only its non-unit
+slices are multiplied. A 0/1 permutation exchanges slices, and a dense k-qubit
+matrix is a batch of small matmuls (real ones on the float view of the
+amplitudes when the matrix is real). A dense 1-qubit matrix is applied by a
+walk over cache-sized chunks of the state, each copied into one small buffer
+and back.
 
 A "map" has two branches. On the last k < n qubits, the targets are the
 contiguous trailing axis of the control-selected view, so the kernel gathers
@@ -88,7 +91,7 @@ class Gate:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_kind", classify(matrix))
-        object.__setattr__(self, "_operand", matrix)
+        object.__setattr__(self, "_operand", matrix.diagonal() if self._kind == "diag" else matrix)
 
     @property
     def arity(self) -> int:
@@ -331,6 +334,11 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         tiles = _tiles(block, k)
         tiles[...] = np.matmul(operand, tiles)
         return
+    if kind == "diag" and k > 1 and not controls and tuple(targets) == tuple(range(lo, lo + k)):
+        # one broadcast multiply; a 1-qubit diagonal keeps the slice loop below, which skips a unit half
+        view = amps.reshape(1 << lo, 1 << k, -1)
+        view *= operand[:, None]
+        return
     trailing = tuple(targets) == tuple(range(num_qubits - k, num_qubits))
     if kind == "call" and not trailing:
         raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
@@ -366,7 +374,7 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         out[operand] = block
         moved[...] = out.reshape(moved.shape)
     elif kind == "diag":
-        for index, d in zip(np.ndindex(*[2] * k), np.diagonal(operand)):
+        for index, d in zip(np.ndindex(*[2] * k), operand):
             if d != 1:
                 moved[index] *= d
     elif kind == "perm":

@@ -3,7 +3,8 @@ circuits with ancilla mirrors, phase oracles, CNOT banks for linear functions,
 Toffoli ladders, and modular-arithmetic permutation operators.
 
 An oracle |x>|y> -> |x>|y xor f(x)> is an ``XorOracle``, kept as its table
-of f, not as a 2**(m+n) ``PermutationOracle`` mapping.
+of f, not as a 2**(m+n) ``PermutationOracle`` mapping. A phase oracle
+|x> -> (-1)**f(x) |x> is a ``PhaseOracle``, kept as its vector of signs.
 
 Truth-table synthesis is deliberately verbatim disjunctive normal form, one
 multi-controlled X per output 1; no logic minimization.
@@ -222,6 +223,25 @@ class XorOracle:
         return True
 
 
+class PhaseOracle:
+    """|x> -> signs[x] |x> for 2**k signs, each +1 or -1: a circuit operator of kind ``"diag"``."""
+
+    name = "phase oracle"
+    _kind = "diag"
+
+    def __init__(self, signs):
+        signs = np.asarray(signs, dtype=float)
+        if signs.ndim != 1 or signs.size & (signs.size - 1) or signs.size < 2 or np.any(np.abs(signs) != 1):
+            raise ValueError("a phase oracle takes 2**k signs, k >= 1, each +1 or -1")
+        signs.setflags(write=False)
+        self.signs = self._operand = signs
+        self.arity = signs.size.bit_length() - 1
+
+    def power(self, e: int) -> "PhaseOracle":
+        """Itself for odd e (so it is its own inverse), the identity for even e."""
+        return self if e % 2 else PhaseOracle(np.ones_like(self.signs))
+
+
 def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, controls=()) -> StateVector:
     """Apply |x> -> |perm(x)> on ``targets`` where all control bits match: a one-op program."""
     targets = range(oracle.total_qubits) if targets is None else targets
@@ -390,6 +410,11 @@ def expr_to_circuit(e: BooleanExpr, uncompute: bool = True, n_vars: int | None =
         else:
             c.mcx(controls, target)
     return c, result, compiler.next_ancilla - n_vars
+
+
+def expr_phase_oracle(e: BooleanExpr, n_vars: int) -> PhaseOracle:
+    """|x> -> (-1)**e(x) |x> on ``n_vars`` qubits, its signs read off the expression's rows."""
+    return PhaseOracle([1 - 2 * e.evaluate(_bitstring(x, n_vars)) for x in range(1 << n_vars)])
 
 
 def toffoli_ladder(n_controls: int) -> Circuit:

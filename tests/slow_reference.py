@@ -2,11 +2,13 @@
 
 ``reference_apply_permutation`` and ``reference_measure`` are the original
 whole-vector implementations: every basis index is decoded bit by bit into a
-2**n int64 array. They are slow but easy to check by hand; the library's
+2**n int64 array. ``reference_apply_diagonal`` decodes the indices the same way
+for a diagonal kernel. They are slow but easy to check by hand; the library's
 strided versions must agree with them exactly. ``reference_apply_to_array``
 is the one-matmul gate kernel that ran every gate before kernels were chosen
 by gate structure and fused; ``reference_run`` applies a circuit's ops one
-at a time with it, and a permutation oracle's with ``reference_apply_permutation``.
+at a time with it, a permutation oracle's with ``reference_apply_permutation`` and
+a phase oracle's with ``reference_apply_diagonal``.
 ``reference_kernels`` applies fused kernels one at a time, each 1-qubit dense one
 by ``reference_one_qubit_dense``, the half-view kernel that ran them before the
 chunk walker; the walker must match it bit for bit.
@@ -28,7 +30,7 @@ from qsim.algorithms.qft import qft_circuit
 from qsim.circuit import BLOCK_QUBITS, Circuit
 from qsim.gates import Gate, apply_kernel, classify
 from qsim.numtheory import mod_pow
-from qsim.oracles import PermutationOracle, XorOracle
+from qsim.oracles import PermutationOracle, PhaseOracle, XorOracle
 from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
 
 
@@ -51,6 +53,8 @@ def reference_run(amps: np.ndarray, circuit) -> np.ndarray:
             columns = out.reshape(1 << n, -1).T
             moved = [reference_apply_permutation(StateVector(n, col.copy()), oracle, op.targets, op.controls) for col in columns]
             out = np.stack([s.amps for s in moved], axis=1).reshape(out.shape)
+        elif isinstance(op.gate, PhaseOracle):
+            out = reference_apply_diagonal(out, n, op.gate.signs, op.targets, op.controls)
         else:
             reference_apply_to_array(out, n, op)
     return out
@@ -98,7 +102,7 @@ def _reference_flush(pending: dict):
         matrix = pending[q]
         kind = classify(matrix)
         if kind != "dense":
-            yield kind, matrix, (q,), ()
+            yield kind, matrix.diagonal() if kind == "diag" else matrix, (q,), ()
             continue
         if run and (q != run[-1] + 1 or len(run) == BLOCK_QUBITS):
             yield _reference_block(run, pending)
@@ -189,6 +193,22 @@ def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=(
     amps = s.amps.copy()
     amps[new_idx[sel]] = s.amps[sel]
     return StateVector(n, amps)
+
+
+def reference_apply_diagonal(amps: np.ndarray, num_qubits: int, diagonal, targets, controls=()) -> np.ndarray:
+    """A copy of ``amps`` (trailing batch axes allowed): each basis index whose control bits match
+    is multiplied by ``diagonal`` at its bits on ``targets``, every index decoded bit by bit."""
+    n, k = num_qubits, len(targets)
+    idx = np.arange(1 << n)
+    y = np.zeros(1 << n, dtype=np.int64)
+    for j, t in enumerate(targets):
+        y |= ((idx >> (n - 1 - t)) & 1) << (k - 1 - j)
+    sel = np.ones(1 << n, dtype=bool)
+    for q, v in controls:
+        sel &= ((idx >> (n - 1 - q)) & 1) == v
+    out = np.array(amps, dtype=complex)
+    out.reshape(1 << n, -1)[sel] *= np.asarray(diagonal)[y[sel], None]
+    return out
 
 
 def reference_measure(s: StateVector, qubits, rng: np.random.Generator) -> MeasurementRecord:

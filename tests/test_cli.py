@@ -287,6 +287,13 @@ def run_failing(capsys, *argv):
     return code, captured.out, captured.err.strip().splitlines()
 
 
+@pytest.mark.parametrize("m_known", ["0", "5"])
+def test_sat_m_known_out_of_range_is_named_with_its_bound(capsys, m_known):
+    code, out, err = run_failing(capsys, "sat", "--expr", "a&b", "--m-known", m_known, "--json")
+    assert (code, out) == (2, "")
+    assert err == [f"error: m_known must be between 1 and 2**n_vars = 4, not {m_known}"]
+
+
 def test_qubit_cap_is_one_error_line_and_exit_2(capsys, monkeypatch):
     monkeypatch.delenv("QSIM_MAX_QUBITS", raising=False)
     code, out, err = run_failing(capsys, "grover", "--n", "21", "--marked", "0", "--json")

@@ -32,7 +32,11 @@ GROVER_CASES = [
 ]
 # the package exports the function ``grover`` under the module's name
 GROVER_MODULE = importlib.import_module("qsim.algorithms.grover")
-SAT = And(Or(Var(0), Var(1)), Or(Not(Var(0)), Var(2)), Or(Var(3), Not(Var(1))))
+# one model, 111101, of 6 variables: a first guess of one model runs 6 iterates of 18 ops
+SAT = And(
+    Or(Not(Var(0)), Var(2)), Or(Var(3), Var(0)), Or(Var(4), Var(5)), Or(Not(Var(5)), Var(3)),
+    Or(Var(1), Not(Var(0))), Or(Not(Var(3)), Var(0)), Or(Not(Var(4)), Not(Var(1))),
+)
 
 
 def _stream(kernels):
@@ -51,8 +55,8 @@ DRIVERS = [
         pytest.param(functools.partial(alg.grover, marked, n, variant=variant, seed=7), id=f"grover-{variant}-M{len(marked)}")
         for marked, n, variant in GROVER_CASES
     ),
-    pytest.param(functools.partial(alg.sat_solve, SAT, 4, m_known=5, seed=3), id="sat-known"),
-    pytest.param(functools.partial(alg.sat_solve, SAT, 4, seed=3), id="sat-doubling"),
+    pytest.param(functools.partial(alg.sat_solve, SAT, 6, m_known=1, seed=3), id="sat-known"),
+    pytest.param(functools.partial(alg.sat_solve, SAT, 6, seed=3), id="sat-doubling"),
 ]
 
 
