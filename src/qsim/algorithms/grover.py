@@ -135,22 +135,17 @@ def sat_solve(
     e: BooleanExpr, n_vars: int, m_known: int | None = None, seed: int = 0
 ) -> AlgorithmResult:
     """Search for a satisfying assignment on the ``n_vars`` variable qubits alone: the compiled
-    oracle restores its ancillas, so on |x>|0...0> it is the formula's ``PhaseOracle``, (-1)**f(x).
-    The qubit cap still counts the compiled oracle's ancillas."""
+    oracle restores its ancillas, so the formula's ``PhaseOracle`` suffices. The cap counts them."""
     if n_vars > 12:
         raise ValueError("SAT driver is capped at 12 variables")
     big_n = 1 << n_vars
     if m_known is not None and not 1 <= m_known <= big_n:
         raise ValueError(f"m_known must be between 1 and 2**n_vars = {big_n}, not {m_known}")
-    oracle, width = _sat_oracle(e, n_vars)
+    _, width = _sat_oracle(e, n_vars)
     require_qubits(width)  # ancillas included, so known only once the formula is compiled
     rng = np.random.default_rng(seed)
-
-    # a compiled oracle without ancillas (a one-variable formula) is a lone Z, which the
-    # fusion pass joins to the H gates
-    if width > n_vars:
-        oracle = Circuit(n_vars).append(expr_phase_oracle(e, n_vars), range(n_vars))
-    body = oracle.extend(diffusion_ops(n_vars))
+    oracle = expr_phase_oracle(e, n_vars)
+    body = Circuit(n_vars).append(oracle, range(n_vars)).extend(diffusion_ops(n_vars))
 
     def run_with(iterations: int):
         c = h_layer(n_vars, n_vars)
