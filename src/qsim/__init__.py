@@ -2,9 +2,9 @@
 
 from . import algorithms, circuit, gates, gf2, numtheory, oracles, qstate
 from .circuit import Circuit, equiv_up_to_phase, run, simulate, unitary_of
-from .gates import Gate, GateApplication, apply, is_unitary, standard_gate
+from .gates import Gate, GateApplication, is_unitary, standard_gate
 from .oracles import BooleanExpr, PermutationOracle, TruthTable
-from .qstate import Distribution, MeasurementRecord, StateVector, basis_state, kron, measure, probabilities
+from .qstate import Distribution, StateVector, basis_state, kron, probabilities
 
 __version__ = "0.1.0"
 
@@ -14,12 +14,10 @@ __all__ = [
     "Distribution",
     "Gate",
     "GateApplication",
-    "MeasurementRecord",
     "PermutationOracle",
     "StateVector",
     "TruthTable",
     "algorithms",
-    "apply",
     "basis_state",
     "circuit",
     "equiv_up_to_phase",
@@ -27,7 +25,6 @@ __all__ = [
     "gf2",
     "is_unitary",
     "kron",
-    "measure",
     "numtheory",
     "oracles",
     "probabilities",

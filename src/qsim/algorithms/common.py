@@ -51,10 +51,10 @@ def readout(state: StateVector, qubits, rng: np.random.Generator | None):
 def conditional_readout(state: StateVector, k: int, transform: Circuit, rng: np.random.Generator):
     """Read out the last k qubits, then the leading register after ``transform``.
 
-    The trailing value z is drawn with ``readout``, the same single draw from
-    the same marginal as ``qstate.measure``, but the state is not collapsed:
-    only the leading register's block conditional on z, ``state.amps[z::2**k]``,
-    is normalized, transformed and read out. Returns (z, distribution, bitstring).
+    The trailing value z is drawn with ``readout``, one draw from its
+    marginal, but the state is not collapsed: only the leading register's
+    block conditional on z, ``state.amps[z::2**k]``, is normalized,
+    transformed and read out. Returns (z, distribution, bitstring).
     """
     n = state.num_qubits
     _, bits = readout(state, range(n - k, n), rng)

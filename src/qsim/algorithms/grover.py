@@ -119,18 +119,6 @@ def grover_unknown_m(oracle_probe, n: int, seed: int = 0) -> AlgorithmResult:
     return AlgorithmResult(answer=None, rounds_used=attempts, success=False)
 
 
-def _sat_oracle(e: BooleanExpr, n_vars: int):
-    """Phase oracle from the expression compiler: compute, Z, uncompute."""
-    fwd, result_qubit, n_anc = expr_to_circuit(e, uncompute=True, n_vars=n_vars)
-    width = fwd.num_qubits
-    c = Circuit(width)
-    c.extend(fwd)
-    c.z(result_qubit)
-    for op in reversed(fwd.ops):
-        c.append_op(op)  # X and multi-controlled X are self-inverse
-    return c, width
-
-
 def sat_solve(
     e: BooleanExpr, n_vars: int, m_known: int | None = None, seed: int = 0
 ) -> AlgorithmResult:
@@ -141,8 +129,7 @@ def sat_solve(
     big_n = 1 << n_vars
     if m_known is not None and not 1 <= m_known <= big_n:
         raise ValueError(f"m_known must be between 1 and 2**n_vars = {big_n}, not {m_known}")
-    _, width = _sat_oracle(e, n_vars)
-    require_qubits(width)  # ancillas included, so known only once the formula is compiled
+    require_qubits(expr_to_circuit(e, n_vars=n_vars)[0].num_qubits)  # ancillas included, known once compiled
     rng = np.random.default_rng(seed)
     oracle = expr_phase_oracle(e, n_vars)
     body = Circuit(n_vars).append(oracle, range(n_vars)).extend(diffusion_ops(n_vars))

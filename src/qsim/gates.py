@@ -28,8 +28,8 @@ qubits, or on targets elsewhere, it scatters the moved block by the mapping
 itself, so no 2**n inverse is ever allocated.
 
 An "xor" kernel (|x>|y> -> |x>|y xor values[x]>, its own inverse) gathers
-each chunk of rows x on the trailing qubits by y xor values[x], and runs the
-"map" scatter on its full mapping on targets elsewhere.
+each chunk of rows x on the trailing qubits by y xor values[x]. Like a "call",
+it is refused on targets elsewhere.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector, _subspace
+from .qstate import _subspace
 
 UNITARY_ATOL = 1e-10
 
@@ -196,12 +196,6 @@ def inverse_permutation(mapping: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def xor_mapping(values: np.ndarray, n_out: int) -> np.ndarray:
-    """The permutation |x>|y> -> |x>|y xor values[x]> of basis indices, y on the last ``n_out`` bits."""
-    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
-    return mapping.reshape(-1)
-
-
 def _xor_gather(view: np.ndarray, values: np.ndarray) -> None:
     """In-place |x>|y> -> |x>|y xor values[x]> on a ``(..., 2**m, 2**n_out, batch)`` view: each
     contiguous chunk of rows x is gathered into one small buffer and written back through the view."""
@@ -340,10 +334,8 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
         view *= operand[:, None]
         return
     trailing = tuple(targets) == tuple(range(num_qubits - k, num_qubits))
-    if kind == "call" and not trailing:
-        raise ValueError(f"a {operand.name} step acts on the last {k} qubits, not on {tuple(targets)}")
-    if kind == "xor" and not trailing:
-        kind, operand = "map", xor_mapping(operand, k - (len(operand).bit_length() - 1))
+    if kind in ("call", "xor") and not trailing:
+        raise ValueError(f"a {kind!r} kernel acts on the last {k} qubits, not on {tuple(targets)}")
     if kind in ("call", "xor") or (kind == "map" and trailing and k < num_qubits):
         # the trailing k qubits stay one contiguous axis of the control-selected (..., 2**k, batch) view
         index = [slice(None)] * (num_qubits - k)
@@ -395,18 +387,3 @@ def apply_kernel(amps: np.ndarray, num_qubits: int, kind: str, operand, targets,
     else:
         tiles = _tiles(moved.reshape(1 << k, -1), k)
         moved[...] = np.matmul(operand, tiles).swapaxes(0, 1).reshape(moved.shape)
-
-
-def apply_to_array(amps: np.ndarray, num_qubits: int, app: GateApplication) -> None:
-    """In-place application of ``app`` to ``amps`` by the kernel of its operator's kind."""
-    for q in app.qubits():
-        if q < 0 or q >= num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit state")
-    apply_kernel(amps, num_qubits, app.gate._kind, app.gate._operand, app.targets, app.controls)
-
-
-def apply(s, app: GateApplication):
-    """Apply a controlled gate, returning a fresh state vector."""
-    amps = s.amps.copy()
-    apply_to_array(amps, s.num_qubits, app)
-    return StateVector(s.num_qubits, amps)

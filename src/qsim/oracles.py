@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, require_qubits, simulate
-from .gates import GateApplication, inverse_permutation, xor_mapping
+from .circuit import Circuit, require_qubits
+from .gates import inverse_permutation
 from .numtheory import mult_order
-from .qstate import StateVector, _bitstring
+from .qstate import _bitstring
 
 
 @dataclass(frozen=True)
@@ -183,6 +183,12 @@ class PermutationOracle:
         return bool(np.array_equal(self.mapping[self.mapping], np.arange(len(self.mapping))))
 
 
+def xor_mapping(values: np.ndarray, n_out: int) -> np.ndarray:
+    """The permutation |x>|y> -> |x>|y xor values[x]> of basis indices, y on the last ``n_out`` bits."""
+    mapping = (np.arange(len(values))[:, None] << n_out) | (np.arange(1 << n_out) ^ values[:, None])
+    return mapping.reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class XorOracle:
     """|x>|y> -> |x>|y xor values[x]>, y on the last ``n_out`` qubits: a circuit operator of kind
@@ -240,12 +246,6 @@ class PhaseOracle:
     def power(self, e: int) -> "PhaseOracle":
         """Itself for odd e (so it is its own inverse), the identity for even e."""
         return self if e % 2 else PhaseOracle(np.ones_like(self.signs))
-
-
-def apply_permutation(s: StateVector, oracle: PermutationOracle, targets=None, controls=()) -> StateVector:
-    """Apply |x> -> |perm(x)> on ``targets`` where all control bits match: a one-op program."""
-    targets = range(oracle.total_qubits) if targets is None else targets
-    return simulate(Circuit(s.num_qubits, [GateApplication(oracle, tuple(targets), tuple(controls))]), s)
 
 
 def _row_controls(x: int, n: int):

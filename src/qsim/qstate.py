@@ -1,4 +1,4 @@
-"""Complex state vectors, tensor composition, measurement, and entanglement checks.
+"""Complex state vectors, tensor composition, and entanglement checks.
 
 A state over ``n`` qubits is a normalized complex vector of length ``2**n``.
 Qubit 0 is the MOST significant bit of the basis index, i.e. the leftmost
@@ -71,16 +71,6 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Outcome of a (partial) computational-basis measurement with collapse."""
-
-    measured_qubits: tuple
-    outcome: str
-    probability: float
-    post_state: StateVector
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,37 +152,6 @@ def marginal_probs(s: StateVector, qubits) -> np.ndarray:
     if drop:
         probs = probs.sum(axis=drop)
     return probs.reshape(-1)
-
-
-def measure(s: StateVector, qubits, rng: np.random.Generator) -> MeasurementRecord:
-    """Measure ``qubits`` in the computational basis, collapsing the state."""
-    n = s.num_qubits
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits must be distinct")
-    if any(q < 0 or q >= n for q in qubits):
-        raise ValueError("measured qubit out of range")
-    qubits = sorted(qubits)
-    k = len(qubits)
-
-    marg = marginal_probs(s, qubits)
-    total = marg.sum()
-    if total <= 0:
-        raise RuntimeError("all outcomes have zero probability; state invariant broken")
-    outcome_index = int(rng.choice(1 << k, p=marg / total))
-    prob = float(marg[outcome_index])
-
-    outcome = [(q, (outcome_index >> (k - 1 - j)) & 1) for j, q in enumerate(qubits)]
-    post = np.zeros_like(s.amps)
-    _subspace(post, n, (), outcome)[...] = _subspace(s.amps, n, (), outcome)
-    post = post / np.linalg.norm(post)
-
-    return MeasurementRecord(
-        measured_qubits=tuple(qubits),
-        outcome=_bitstring(outcome_index, k),
-        probability=prob,
-        post_state=StateVector(n, post),
-    )
 
 
 def schmidt_rank(s: StateVector, left_qubits, tol: float = 1e-8) -> int:

@@ -1,14 +1,17 @@
 """Reference kernels, kept only as test oracles.
 
-``reference_apply_permutation`` and ``reference_measure`` are the original
-whole-vector implementations: every basis index is decoded bit by bit into a
-2**n int64 array. ``reference_apply_diagonal`` decodes the indices the same way
-for a diagonal kernel. They are slow but easy to check by hand; the library's
-strided versions must agree with them exactly. ``reference_apply_to_array``
-is the one-matmul gate kernel that ran every gate before kernels were chosen
-by gate structure and fused; ``reference_run`` applies a circuit's ops one
-at a time with it, a permutation oracle's with ``reference_apply_permutation`` and
-a phase oracle's with ``reference_apply_diagonal``.
+``reference_apply_permutation`` is the original whole-vector permutation
+kernel: every basis index is decoded bit by bit into a 2**n int64 array.
+``reference_apply_diagonal`` decodes the indices the same way for a diagonal
+kernel. They are slow but easy to check by hand; the library's strided
+versions must agree with them exactly. ``reference_measure`` measures with a
+full collapse, its indices decoded the same way, into a ``MeasurementRecord``;
+the drivers' read-out, which collapses nothing, must draw what it draws.
+``reference_apply_to_array`` is the one-matmul gate kernel that ran every
+gate before kernels were chosen by gate structure and fused; ``reference_run``
+applies a circuit's ops one at a time with it, a permutation oracle's with
+``reference_apply_permutation`` and a phase oracle's with
+``reference_apply_diagonal``.
 ``reference_kernels`` applies fused kernels one at a time, each 1-qubit dense one
 by ``reference_one_qubit_dense``, the half-view kernel that ran them before the
 chunk walker; the walker must match it bit for bit.
@@ -21,8 +24,11 @@ it was before XOR oracles kept only their value table, and
 the inverse transform on every call, from fresh ops that ``simulate`` runs gate
 by gate, not as one FFT;
 ``reference_modexp_values`` and ``reference_dlog_values`` are the value tables'
-original per-element loops.
+original per-element loops. ``reference_sat_oracle`` is SAT's phase oracle as the
+expression compiler builds it: compute, Z, uncompute.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +36,18 @@ from qsim.algorithms.qft import qft_circuit
 from qsim.circuit import BLOCK_QUBITS, Circuit
 from qsim.gates import Gate, apply_kernel, classify
 from qsim.numtheory import mod_pow
-from qsim.oracles import PermutationOracle, PhaseOracle, XorOracle
-from qsim.qstate import MeasurementRecord, StateVector, _subspace, marginal_probs
+from qsim.oracles import PermutationOracle, PhaseOracle, XorOracle, expr_to_circuit
+from qsim.qstate import StateVector, _subspace, marginal_probs
+
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    """Outcome of a (partial) computational-basis measurement with collapse."""
+
+    measured_qubits: tuple
+    outcome: str
+    probability: float
+    post_state: StateVector
 
 
 def reference_apply_to_array(amps: np.ndarray, num_qubits: int, app) -> None:
@@ -234,6 +250,15 @@ def reference_measure(s: StateVector, qubits, rng: np.random.Generator) -> Measu
         probability=prob,
         post_state=StateVector(n, post),
     )
+
+
+def reference_sat_oracle(e, n_vars: int):
+    """(circuit, width): the formula's compiled oracle, its result qubit's Z between compute and uncompute."""
+    fwd, result_qubit, _ = expr_to_circuit(e, uncompute=True, n_vars=n_vars)
+    c = Circuit(fwd.num_qubits).extend(fwd).z(result_qubit)
+    for op in reversed(fwd.ops):
+        c.append_op(op)  # X and multi-controlled X are self-inverse
+    return c, fwd.num_qubits
 
 
 def reference_grover_step(marked, n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qsim.algorithms.grover import grover_circuit
 from qsim.algorithms.qpe import _GroverStep
 from qsim.circuit import Circuit, _kernels, simulate, unitary_of
-from qsim.gates import _GEMM_SIZE, _TILED_QUBITS, Gate, GateApplication, apply_to_array, rk_phase, rx, ry, rz, standard_gate, u_gate
+from qsim.gates import _GEMM_SIZE, _TILED_QUBITS, Gate, GateApplication, apply_kernel, rk_phase, rx, ry, rz, standard_gate, u_gate
 from qsim.oracles import PermutationOracle
 from qsim.qstate import StateVector
 
@@ -73,7 +73,7 @@ def test_each_kernel_kind_matches_reference(kind, gate, rng):
         batch = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
         for amps in (psi, batch):
             fast, slow = amps.copy(), amps.copy()
-            apply_to_array(fast, n, app)
+            apply_kernel(fast, n, gate._kind, gate._operand, app.targets, app.controls)
             reference_apply_to_array(slow, n, app)
             if kind == "perm":
                 assert np.array_equal(fast, slow)
@@ -85,7 +85,7 @@ def test_uncontrolled_amplitudes_stay_bit_identical(rng):
     psi = random_state(5, rng).amps
     for gate in (standard_gate("H"), standard_gate("X"), standard_gate("T"), standard_gate("Y")):
         out = psi.copy()
-        apply_to_array(out, 5, GateApplication(gate, (2,), ((0, 1), (4, 0))))
+        apply_kernel(out, 5, gate._kind, gate._operand, (2,), ((0, 1), (4, 0)))
         untouched = np.ones((2,) * 5, dtype=bool)
         untouched[1, :, :, :, 0] = False
         assert np.array_equal(out[untouched.reshape(-1)], psi[untouched.reshape(-1)])
@@ -183,7 +183,7 @@ def test_dense_products_stay_small(monkeypatch, targets, controls):
     reference_apply_to_array(slow, 14, app)
     sizes, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b: sizes.append(a.shape[-2] * a.shape[-1] * b.shape[-1]) or matmul(a, b))
-    apply_to_array(psi, 14, app)
+    apply_kernel(psi, 14, gate._kind, gate._operand, targets, controls)
     assert sizes and max(sizes) <= _GEMM_SIZE
     assert np.max(np.abs(psi - slow)) <= TOL
 
@@ -200,7 +200,7 @@ def test_wide_dense_gates_stay_one_product(monkeypatch, k, adjacent):
     reference_apply_to_array(slow, n, app)
     columns, matmul = [], np.matmul
     monkeypatch.setattr(np, "matmul", lambda a, b: columns.append(b.shape[-1]) or matmul(a, b))
-    apply_to_array(psi, n, app)
+    apply_kernel(psi, n, app.gate._kind, app.gate._operand, targets)
     assert columns == [1 << (n - 1 - k) if adjacent else 1 << (n - k)]
     assert np.max(np.abs(psi - slow)) <= TOL
 

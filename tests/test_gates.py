@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from qsim.circuit import Circuit, simulate
 from qsim.gates import (
     Gate,
     GateApplication,
-    apply,
     dagger,
     is_unitary,
     rk_phase,
@@ -35,18 +35,18 @@ def test_unknown_gate_name():
 
 
 def test_h_on_zero_gives_plus():
-    out = apply(basis_state(1, 0), GateApplication(H, (0,)))
+    out = simulate(Circuit(1, [GateApplication(H, (0,))]), basis_state(1, 0))
     assert np.allclose(out.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_x_is_not():
     for j in (0, 1):
-        out = apply(basis_state(1, j), GateApplication(X, (0,)))
+        out = simulate(Circuit(1, [GateApplication(X, (0,))]), basis_state(1, j))
         assert np.allclose(out.amps, basis_state(1, j ^ 1).amps)
 
 
 def test_swap_example():
-    out = apply(basis_state(2, 0b01), GateApplication(SWAP, (0, 1)))
+    out = simulate(Circuit(2, [GateApplication(SWAP, (0, 1))]), basis_state(2, 0b01))
     assert np.allclose(out.amps, basis_state(2, 0b10).amps)
 
 
@@ -55,7 +55,7 @@ def test_u_gate_reproduces_h():
 
 
 def test_u_gate_quarter_probability():
-    out = apply(basis_state(1, 0), GateApplication(u_gate(2 * np.pi / 3, 0, 0), (0,)))
+    out = simulate(Circuit(1, [GateApplication(u_gate(2 * np.pi / 3, 0, 0), (0,))]), basis_state(1, 0))
     dist = probabilities(out)
     assert dist.prob("0") == pytest.approx(0.25)
     assert dist.prob("1") == pytest.approx(0.75)
@@ -82,21 +82,21 @@ def test_rk_phase_ladder():
 
 
 def test_cnot_builds_bell_pair():
-    plus0 = apply(basis_state(2, 0), GateApplication(H, (0,)))
-    bell = apply(plus0, GateApplication(X, (1,), ((0, 1),)))
+    plus0 = simulate(Circuit(2, [GateApplication(H, (0,))]), basis_state(2, 0))
+    bell = simulate(Circuit(2, [GateApplication(X, (1,), ((0, 1),))]), plus0)
     assert np.allclose(bell.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
 def test_negative_control():
     for ell in (0, 1):
-        out = apply(basis_state(2, ell), GateApplication(X, (1,), ((0, 0),)))
+        out = simulate(Circuit(2, [GateApplication(X, (1,), ((0, 0),))]), basis_state(2, ell))
         assert np.allclose(out.amps, basis_state(2, ell ^ 1).amps)
 
 
 def test_toffoli():
-    out = apply(basis_state(3, 0b110), GateApplication(X, (2,), ((0, 1), (1, 1))))
+    out = simulate(Circuit(3, [GateApplication(X, (2,), ((0, 1), (1, 1)))]), basis_state(3, 0b110))
     assert np.allclose(out.amps, basis_state(3, 0b111).amps)
-    out = apply(basis_state(3, 0b100), GateApplication(X, (2,), ((0, 1), (1, 1))))
+    out = simulate(Circuit(3, [GateApplication(X, (2,), ((0, 1), (1, 1)))]), basis_state(3, 0b100))
     assert np.allclose(out.amps, basis_state(3, 0b100).amps)
 
 
@@ -130,7 +130,7 @@ def test_apply_preserves_norm_on_random_pairs(rng):
         targets = tuple(int(q) for q in qubits[: gate.arity])
         spare = [int(q) for q in qubits[gate.arity :]]
         controls = tuple((q, int(rng.integers(2))) for q in spare[: int(rng.integers(0, len(spare) + 1))])
-        out = apply(psi, GateApplication(gate, targets, controls))
+        out = simulate(Circuit(n, [GateApplication(gate, targets, controls)]), psi)
         assert abs(out.norm() - 1.0) <= 1e-10
 
 
@@ -143,7 +143,7 @@ def test_unsatisfied_controls_leave_amplitudes_bit_identical(rng):
     from qsim.qstate import StateVector
 
     pinned = StateVector(3, amps)
-    out = apply(pinned, GateApplication(H, (1,), ((0, 1),)))
+    out = simulate(Circuit(3, [GateApplication(H, (1,), ((0, 1),))]), pinned)
     assert np.array_equal(out.amps, pinned.amps)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsim.circuit import Circuit, simulate, unitary_of
+from qsim.gates import GateApplication
 from qsim.oracles import (
     And,
     Not,
@@ -10,7 +11,6 @@ from qsim.oracles import (
     TruthTable,
     Var,
     Xor,
-    apply_permutation,
     expr_to_circuit,
     modexp_oracle,
     modmul_oracle,
@@ -372,7 +372,7 @@ def test_permutation_rejects_a_wrong_length(mapping):
 def test_apply_permutation_with_controls(rng):
     swap01 = PermutationOracle(1, np.array([1, 0]))
     state = simulate(Circuit(2).h(0))
-    out = apply_permutation(state, swap01, targets=[1], controls=((0, 1),))
+    out = simulate(Circuit(2, [GateApplication(swap01, (1,), ((0, 1),))]), state)
     expected = simulate(Circuit(2).h(0).cx(0, 1))
     assert np.max(np.abs(out.amps - expected.amps)) <= 1e-12
 

@@ -2,9 +2,9 @@
 
 ``sat_solve`` searches on the formula's variable qubits, its oracle one
 ``PhaseOracle`` of the signs (-1)**f(x). The compiled circuit it replaces
-(``_sat_oracle``: compute, Z, uncompute) stays the reference: on every
-|x>|0...0> it must give exactly (-1)**f(x) |x>|0...0>, with the signs the
-phase oracle holds. The ``"diag"`` kernel, which reads every diagonal operand
+(``reference_sat_oracle``: compute, Z, uncompute) stays the reference: on
+every |x>|0...0> it must give exactly (-1)**f(x) |x>|0...0>, with the signs
+the phase oracle holds. The ``"diag"`` kernel, which reads every diagonal operand
 as a vector, must scale amplitudes exactly as ``reference_apply_diagonal``,
 which decodes each basis index bit by bit.
 """
@@ -13,13 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.algorithms.grover import _sat_oracle, sat_solve
+from qsim.algorithms.grover import sat_solve
 from qsim.circuit import Circuit, _kernels, _run, simulate, unitary_of
 from qsim.gates import apply_kernel, standard_gate
 from qsim.oracles import And, Not, Or, PhaseOracle, Var, Xor, expr_phase_oracle
 
 from conftest import perfbench_module
-from slow_reference import reference_apply_diagonal, reference_run
+from slow_reference import reference_apply_diagonal, reference_run, reference_sat_oracle
 
 reference = perfbench_module("reference")
 
@@ -45,7 +45,7 @@ def formulas(draw, max_vars=6):
 @given(formulas())
 def test_the_compiled_oracle_is_the_phase_oracle_on_every_basis_input(case):
     e, n = case
-    c, width = _sat_oracle(e, n)
+    c, width = reference_sat_oracle(e, n)
     # column x starts as |x>|0...0>, the ancillas the trailing width - n qubits
     columns = np.zeros((1 << width, 1 << n), dtype=complex)
     columns[np.arange(1 << n) << width - n, np.arange(1 << n)] = 1
@@ -64,7 +64,7 @@ def test_sat_solve_on_a_bare_variable_follows_the_law(case, negated_twice, m_kno
     and the compiled-oracle test above checks the signs."""
     n, i = case
     e = Not(Not(Var(i))) if negated_twice else Var(i)
-    assert _sat_oracle(e, n)[1] == n
+    assert reference_sat_oracle(e, n)[1] == n
     models = [x for x in range(1 << n) if x >> (n - 1 - i) & 1]
     result = sat_solve(e, n, m_known=len(models) if m_known else None, seed=seed)
     if not result.success:

@@ -11,10 +11,19 @@ import numpy as np
 import pytest
 
 from qsim import algorithms as alg
-from qsim.circuit import ResourceLimitError, require_qubits
-from qsim.cli import parse_bool_expr
-from qsim.gates import rk_phase
-from qsim.oracles import PermutationOracle, TruthTable, apply_permutation, modexp_oracle, xor_permutation_oracle
+from qsim.circuit import Circuit, ResourceLimitError, require_qubits, simulate
+from qsim.gates import GateApplication, rk_phase
+from qsim.oracles import (
+    And,
+    Or,
+    PermutationOracle,
+    TruthTable,
+    Var,
+    Xor,
+    expr_to_circuit,
+    modexp_oracle,
+    xor_permutation_oracle,
+)
 from qsim.qstate import basis_state
 
 # the package re-exports drivers under their module names, so fetch the modules
@@ -74,7 +83,7 @@ def test_apply_permutation(monkeypatch):
     cap(monkeypatch, 4)
     flip = PermutationOracle(1, np.array([1, 0]))
     with pytest.raises(ResourceLimitError):
-        apply_permutation(basis_state(5, 0), flip)
+        simulate(Circuit(5, [GateApplication(flip, (0,))]), basis_state(5, 0))
 
 
 def test_counting_refused_before_the_dense_step(monkeypatch):
@@ -110,11 +119,24 @@ def test_grover_degenerate_draw_is_capped(monkeypatch):
         alg.grover(["0000", "0001", "0010", "0011", "0100", "0101", "0110", "0111", "1000"], 4)
 
 
-def test_sat_refused_before_the_search_circuit(monkeypatch):
-    expr, n_vars = parse_bool_expr("a&b")  # two variables plus one AND ancilla
-    cap(monkeypatch, 2)
+@pytest.mark.parametrize(
+    "expr, n_vars, ancillas",
+    [
+        (Var(2), 3, 0),  # a bare variable compiles to no ancilla
+        (And(Var(0), Var(1)), 2, 1),
+        (And(Or(Var(0), Var(1)), Xor(Var(2), Var(3))), 4, 3),  # OR, XOR and AND ancillas
+    ],
+    ids=["no-ancilla", "one-ancilla", "three-ancillas"],
+)
+def test_sat_refused_before_the_search_circuit(monkeypatch, expr, n_vars, ancillas):
+    """The search runs on the variable qubits alone, but the cap counts the compiled ancillas."""
+    assert expr_to_circuit(expr, n_vars=n_vars)[2] == ancillas
+    width = n_vars + ancillas
+    cap(monkeypatch, width)
+    alg.sat_solve(expr, n_vars, seed=1)  # at the cap it runs
+    cap(monkeypatch, width - 1)
     tripwire(monkeypatch, grover_mod, "diffusion_ops")
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"{width} qubits exceeds the cap {width - 1}"):
         alg.sat_solve(expr, n_vars)
 
 

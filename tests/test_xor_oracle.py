@@ -1,21 +1,21 @@
 """XOR oracles kept as their value table, and the inverse transform built once per width.
 
-The ``"xor"`` kernel must move amplitudes exactly as the index-arithmetic
-reference moves them under the full permutation (``reference_xor_oracle``),
-on the trailing qubits (a chunked gather) and elsewhere (the ``"map"``
-scatter). The drivers must give the raw bits of the full-permutation oracles.
+The ``"xor"`` kernel must move amplitudes on the trailing qubits (a chunked
+gather) exactly as the index-arithmetic reference moves them under the full
+permutation (``reference_xor_oracle``), and refuse any other targets. The
+drivers must give the raw bits of the full-permutation oracles.
 With an inverse transform rebuilt on every call, which runs gate by gate
 instead of as the FFT, they must give the same answers and laws to 1e-12.
 """
 
 import functools
 import importlib
+import re
 
 import numpy as np
 import pytest
 import qsim.algorithms.qft
 import qsim.algorithms.shor
-import qsim.gates
 import qsim.oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,20 +45,13 @@ def _same_bits(fast, slow):
 
 @st.composite
 def xor_cases(draw, max_qubits=8):
-    """An n-qubit state, an XOR oracle of width k <= n, and its targets and controls.
-
-    Half the cases put the oracle on the trailing k qubits; the rest on k
-    qubits in any order (the ``"map"`` fallback, or trailing by chance)."""
+    """An n-qubit state, an XOR oracle on its trailing k <= n qubits, and controls on any of the rest."""
     n = draw(st.integers(1, max_qubits))
     k = draw(st.integers(1, n))
     m = draw(st.integers(0, k))
     values = np.array(draw(st.lists(st.integers(0, (1 << k - m) - 1), min_size=1 << m, max_size=1 << m)), dtype=np.int64)
-    if draw(st.booleans()):
-        targets = tuple(range(n - k, n))
-        rest = list(range(n - k))
-    else:
-        order = draw(st.permutations(range(n)))
-        targets, rest = tuple(order[:k]), list(order[k:])
+    targets = tuple(range(n - k, n))
+    rest = draw(st.permutations(range(n - k)))
     n_controls = draw(st.integers(0, len(rest)))
     controls = tuple((q, draw(st.integers(0, 1))) for q in rest[:n_controls])
     s = random_state(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
@@ -99,22 +92,20 @@ def test_xor_gather_walks_chunks_exactly(monkeypatch, n, m, n_out, controls):
     rng = np.random.default_rng(n * m + n_out)
     oracle = XorOracle(rng.integers(0, 1 << n_out, size=1 << m), n_out)
     targets = tuple(range(n - m - n_out, n))
-    built, real = [], qsim.gates.xor_mapping
-    monkeypatch.setattr(qsim.gates, "xor_mapping", lambda *a: built.append(a[1]) or real(*a))
+    built, real = [], qsim.oracles.xor_mapping
+    monkeypatch.setattr(qsim.oracles, "xor_mapping", lambda *a: built.append(a[1]) or real(*a))
     psi = random_state(n, rng)
     fast = simulate(Circuit(n).append(oracle, targets, controls), psi)
     slow = reference_apply_permutation(psi, reference_xor_oracle(oracle.values, n_out), targets, controls)
     assert built == [] and _same_bits(fast.amps, slow.amps)
 
 
-def test_xor_on_other_targets_runs_the_map_scatter(monkeypatch):
-    oracle = XorOracle(np.array([3, 0, 1, 1]), 2)
-    built, real = [], qsim.gates.xor_mapping
-    monkeypatch.setattr(qsim.gates, "xor_mapping", lambda *a: built.append(a[1]) or real(*a))
-    psi = random_state(6, np.random.default_rng(6))
-    fast = simulate(Circuit(6).append(oracle, (5, 0, 3, 2), ((1, 0),)), psi)
-    slow = reference_apply_permutation(psi, reference_xor_oracle(oracle.values, 2), (5, 0, 3, 2), ((1, 0),))
-    assert built == [2] and _same_bits(fast.amps, slow.amps)
+def test_xor_on_other_targets_is_refused():
+    """Only the trailing qubits in order keep the output register on the gather's contiguous axis."""
+    oracle, psi = XorOracle(np.array([3, 0, 1, 1]), 2), random_state(6, np.random.default_rng(6))
+    for targets, controls in [((5, 0, 3, 2), ((1, 0),)), ((5, 4, 3, 2), ()), ((1, 2, 3, 4), ((5, 1),))]:
+        with pytest.raises(ValueError, match=re.escape(f"'xor' kernel acts on the last 4 qubits, not on {targets}")):
+            simulate(Circuit(6).append(oracle, targets, controls), psi)
 
 
 @settings(max_examples=50, deadline=None)
