@@ -70,7 +70,11 @@ def _driver_cases():
     from qsim.cli import parse_bool_expr
     from qsim.gates import rk_phase, u_gate
     from qsim.oracles import (
+        And,
+        Not,
+        Or,
         TruthTable,
+        Var,
         modmul_oracle,
         synth_bit_oracle,
         synth_bv_oracle,
@@ -117,6 +121,19 @@ def _driver_cases():
         yield f"qpe U seed={seed}", lambda: alg.qpe(u_gate(0.3, 0.7, 1.1), basis_state(1, 0), 4, seed=seed)
         yield f"qpe modmul seed={seed}", lambda: alg.qpe(modmul_oracle(2, 3), StateVector(2, amps), 3, seed=seed)
         yield f"quantum_counting seed={seed}", lambda: alg.quantum_counting(["001", "100", "111"], 3, m=3, seed=seed)
+    # the classical tails' other exits: out of rounds, a failed Monte Carlo run,
+    # several rounds, a failed doubling search, an unsatisfiable formula, no inverse
+    yield "shor_factor N=21 max_rounds=1 seed=1", lambda: alg.shor_factor(21, seed=1, max_rounds=1)
+    yield "shor_factor N=21 monte_carlo seed=1", lambda: alg.shor_factor(21, mode="monte_carlo", seed=1)
+    yield "shor_factor N=33 seed=1", lambda: alg.shor_factor(33, seed=1)
+    yield "shor_factor N=21 base=2 seed=12", lambda: alg.shor_factor(21, seed=12, base=2)
+    three = {"0110", "1001", "1111"}
+    yield "grover_unknown_m three of 16 seed=0", lambda: alg.grover_unknown_m(three.__contains__, 4, seed=0)
+    yield "grover_unknown_m none of 8 seed=0", lambda: alg.grover_unknown_m(lambda bits: False, 3, seed=0)
+    yield "sat_solve unsatisfiable seed=0", lambda: alg.sat_solve(And(Var(0), Not(Var(0)), Var(1)), 2)
+    yield "sat_solve m_known=3 seed=0", lambda: alg.sat_solve(Or(Var(0), Var(1)), 2, m_known=3)
+    yield "shor_dlog_pow2 no inverse seed=0", lambda: alg.shor_dlog_pow2(17, 3, 5, seed=0)
+    yield "qpe_dlog no inverse seed=0", lambda: alg.qpe_dlog(17, 3, 5, 4, seed=0)
 
 
 def _plain(value):
