@@ -1,4 +1,4 @@
-"""Shared result envelope, the opening H layer, and the register read-outs every driver ends with."""
+"""Shared result envelope, the H layers, and the register read-outs every driver ends with."""
 
 from __future__ import annotations
 
@@ -35,6 +35,12 @@ def h_layer(count: int, width: int) -> Circuit:
     for q in range(count):
         c.h(q)
     return c
+
+
+def h_conjugated(middle: Circuit, count: int) -> Circuit:
+    """H on the first ``count`` qubits of ``middle``, then ``middle``, then the same H layer again."""
+    layer = h_layer(count, middle.num_qubits)
+    return Circuit(middle.num_qubits, [*layer.ops, *middle.ops, *layer.ops])
 
 
 def readout(state: StateVector, qubits, rng: np.random.Generator | None):

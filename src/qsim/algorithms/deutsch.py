@@ -7,7 +7,7 @@ import numpy as np
 from ..circuit import Circuit, simulate
 from ..oracles import TruthTable, synth_bit_oracle, synth_phase_oracle
 from ..qstate import _bitstring
-from .common import AlgorithmResult, h_layer, readout
+from .common import AlgorithmResult, h_conjugated, readout
 
 
 def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
@@ -15,12 +15,7 @@ def deutsch_circuit(f: TruthTable, economical: bool = False) -> Circuit:
         raise ValueError("a 1-bit Boolean function is required")
     if economical:
         marked = [_bitstring(x, 1) for x in range(2) if f.rows[x] == "1"]
-        oracle = synth_phase_oracle(1, marked)
-        c = Circuit(1)
-        c.h(0)
-        c.extend(oracle)
-        c.h(0)
-        return c.measure([0])
+        return h_conjugated(synth_phase_oracle(1, marked), 1).measure([0])
     return dj_circuit(synth_bit_oracle(f), 1)
 
 
@@ -45,11 +40,7 @@ def deutsch(f: TruthTable, economical: bool = False, seed: int = 0) -> Algorithm
 def dj_circuit(oracle: Circuit, n: int) -> Circuit:
     if oracle.num_qubits != n + 1:
         raise ValueError("oracle must act on n input qubits plus one work qubit")
-    c = h_layer(n + 1, n + 1)
-    c.extend(oracle)
-    for q in range(n + 1):
-        c.h(q)
-    return c.measure(list(range(n)))
+    return h_conjugated(oracle, n + 1).measure(list(range(n)))
 
 
 def deutsch_jozsa(oracle: Circuit, n: int, seed: int = 0) -> AlgorithmResult:
@@ -95,11 +86,7 @@ def _bv_phase_form(oracle: Circuit, n: int) -> Circuit:
 
 def bv_circuit(oracle: Circuit, n: int, economical: bool = False) -> Circuit:
     if economical:
-        c = h_layer(n, n)
-        c.extend(_bv_phase_form(oracle, n))
-        for q in range(n):
-            c.h(q)
-        return c.measure(list(range(n)))
+        return h_conjugated(_bv_phase_form(oracle, n), n).measure(list(range(n)))
     return dj_circuit(oracle, n)
 
 

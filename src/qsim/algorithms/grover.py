@@ -9,7 +9,7 @@ import numpy as np
 from ..circuit import Circuit, require_qubits, simulate
 from ..oracles import BooleanExpr, _row_controls, expr_phase_oracle, expr_to_circuit, require_bitstrings, synth_phase_oracle
 from ..qstate import Distribution, _bitstring
-from .common import AlgorithmResult, GroverGeometry, h_layer, readout
+from .common import AlgorithmResult, GroverGeometry, h_conjugated, h_layer, readout
 
 
 def grover_geometry(n: int, num_marked: int) -> GroverGeometry:
@@ -25,11 +25,7 @@ def grover_geometry(n: int, num_marked: int) -> GroverGeometry:
 
 def diffusion_ops(n: int) -> Circuit:
     """Reflection about the uniform state, up to a global phase: H, flip-at-zero, H."""
-    c = h_layer(n, n)
-    c.extend(synth_phase_oracle(n, ["0" * n]))
-    for q in range(n):
-        c.h(q)
-    return c
+    return h_conjugated(synth_phase_oracle(n, ["0" * n]), n)
 
 
 def grover_circuit(marked, n: int, iterations: int, variant: str = "economical") -> Circuit:
@@ -47,8 +43,7 @@ def grover_circuit(marked, n: int, iterations: int, variant: str = "economical")
         c, body = h_layer(n, n + 1), Circuit(n + 1)
         for bits in sorted(set(marked)):  # the DNF bit oracle: one MCX per marked row
             body.mcx(_row_controls(int(bits, 2), n), n)
-        layer = h_layer(n, n + 1)
-        body.extend(layer).mcx(tuple((q, 0) for q in range(n)), n).extend(layer)
+        body.extend(h_conjugated(Circuit(n + 1).mcx(tuple((q, 0) for q in range(n)), n), n))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     for _ in range(iterations):
@@ -94,6 +89,22 @@ def grover(
     )
 
 
+def _guessed_count_search(n: int, attempt, accept, guesses=None) -> AlgorithmResult:
+    """Run ``attempt(iterations)`` for each guessed marked count until ``accept`` takes its answer.
+
+    ``attempt`` returns (distribution, answer) after Grover's iteration count
+    for the guess. The guesses double from 1 up to half the 2**n strings
+    unless given; rounds_used is the number of attempts made.
+    """
+    if guesses is None:
+        guesses = [1 << i for i in range(max(n, 1))]
+    for attempts, guess in enumerate(guesses, 1):
+        dist, answer = attempt(grover_geometry(n, guess).iterations)
+        if accept(answer):
+            return AlgorithmResult(answer=answer, exact_distribution=dist, rounds_used=attempts)
+    return AlgorithmResult(answer=None, rounds_used=len(guesses), success=False)
+
+
 def grover_unknown_m(oracle_probe, n: int, seed: int = 0) -> AlgorithmResult:
     """Doubling schedule over guessed marked counts, verifying each sample."""
     if n < 1:
@@ -102,21 +113,12 @@ def grover_unknown_m(oracle_probe, n: int, seed: int = 0) -> AlgorithmResult:
     big_n = 1 << n
     marked = [bits for bits in (_bitstring(x, n) for x in range(big_n)) if oracle_probe(bits)]
     rng = np.random.default_rng(seed)
-    attempts = 0
-    guess = 1
-    while guess <= big_n // 2:
-        attempts += 1
-        iterations = grover_geometry(n, guess).iterations
+
+    def attempt(iterations: int):
         result = grover(marked, n, t_override=iterations, seed=int(rng.integers(1 << 63)))
-        x = result.answer["x"]
-        if oracle_probe(x):
-            return AlgorithmResult(
-                answer={"x": x, "degenerate": False},
-                exact_distribution=result.exact_distribution,
-                rounds_used=attempts,
-            )
-        guess *= 2
-    return AlgorithmResult(answer=None, rounds_used=attempts, success=False)
+        return result.exact_distribution, result.answer
+
+    return _guessed_count_search(n, attempt, lambda answer: oracle_probe(answer["x"]))
 
 
 def sat_solve(
@@ -134,24 +136,11 @@ def sat_solve(
     oracle = expr_phase_oracle(e, n_vars)
     body = Circuit(n_vars).append(oracle, range(n_vars)).extend(diffusion_ops(n_vars))
 
-    def run_with(iterations: int):
+    def attempt(iterations: int):
         c = h_layer(n_vars, n_vars)
         for _ in range(iterations):
             c.extend(body)
         return readout(simulate(c), range(n_vars), rng)
 
-    guesses = (
-        [m_known]
-        if m_known is not None
-        else [1 << i for i in range(n_vars) if (1 << i) <= big_n // 2] or [1]
-    )
-    attempts = 0
-    for guess in guesses:
-        attempts += 1
-        iterations = grover_geometry(n_vars, guess).iterations
-        dist, sample = run_with(iterations)
-        if e.evaluate(sample) == 1:
-            return AlgorithmResult(
-                answer=sample, exact_distribution=dist, rounds_used=attempts
-            )
-    return AlgorithmResult(answer=None, rounds_used=attempts, success=False)
+    guesses = None if m_known is None else [m_known]
+    return _guessed_count_search(n_vars, attempt, lambda sample: e.evaluate(sample) == 1, guesses)

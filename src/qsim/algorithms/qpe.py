@@ -19,12 +19,12 @@ import math
 import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
-from ..numtheory import mod_pow, mult_order
+from ..numtheory import mult_order
 from ..oracles import modmul_oracle, require_bitstrings
 from ..qstate import StateVector, kron
 from .common import AlgorithmResult, h_layer, readout
 from .qft import inverse_qft_registers
-from .shor import order_finding_readout, shor_registers
+from .shor import _dlog_from_readout, _require_power, order_finding_readout, shor_registers
 
 
 def _qpe_circuit(us, m: int, n: int, transform: bool = True) -> Circuit:
@@ -88,8 +88,7 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     """
     _require_counting_qubits(m)
     r = mult_order(a, modulus)
-    if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
-        raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
+    _require_power(modulus, a, b, r)
     n = max((modulus - 1).bit_length(), 1)
     require_qubits(2 * m + n)  # before the work-register oracles
     rng = np.random.default_rng(seed)
@@ -97,9 +96,7 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     state = simulate(c.extend(_qpe_circuit((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), m, n)))
     dist, joint = readout(state, range(2 * m), rng)
     phi1, phi2 = int(joint[:m], 2), int(joint[m:], 2)
-    s = None
-    if r & (r - 1) == 0 and (1 << m) == r and math.gcd(phi1, r) == 1:
-        s = phi2 * pow(phi1, -1, r) % r
+    s = _dlog_from_readout(phi1, phi2, r) if (1 << m) == r else None
     answer = {"phi1": phi1, "phi2": phi2, "s": s, "r": r}
     return AlgorithmResult(answer=answer, exact_distribution=dist, success=s is not None)
 

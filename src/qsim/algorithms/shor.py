@@ -23,7 +23,7 @@ from ..oracles import (
     modexp_oracle,
     smallest_power_of_two_above,
 )
-from ..qstate import Distribution, StateVector
+from ..qstate import StateVector
 from .common import AlgorithmResult, conditional_readout, h_layer
 from .qft import inverse_qft_circuit, inverse_qft_registers
 
@@ -118,46 +118,32 @@ def shor_factor(
     if base is not None and not 1 < base < modulus:
         raise ValueError("base must lie strictly between 1 and the modulus")
     rng = np.random.default_rng(seed)
-    rounds = 0
-    last_dist: Distribution | None = None
+    rounds, a, factor, dist = 0, None, None, None
     while rounds < max_rounds:
-        a = base if base is not None else int(rng.integers(2, modulus))
-        g = math.gcd(a, modulus)
-        if g > 1:
-            return AlgorithmResult(
-                answer=g, exact_distribution=last_dist, rounds_used=rounds
-            )
-        while rounds < max_rounds:
-            round_seed = int(rng.integers(1 << 63))
-            outcome = shor_quantum_part(a, modulus, seed=round_seed)
-            rounds += 1
-            last_dist = outcome.exact_distribution
-            ell, q = outcome.answer["ell"], outcome.answer["q"]
-            if ell == 0:
-                if mode == "monte_carlo":
-                    return AlgorithmResult(
-                        answer=None,
-                        exact_distribution=last_dist,
-                        rounds_used=rounds,
-                        success=False,
-                    )
-                continue
-            factor = _factor_from_round(a, modulus, q, ell)
-            if factor is not None:
-                return AlgorithmResult(
-                    answer=factor, exact_distribution=last_dist, rounds_used=rounds
-                )
-            break  # pick a fresh base
-        if mode == "monte_carlo":
-            return AlgorithmResult(
-                answer=None,
-                exact_distribution=last_dist,
-                rounds_used=rounds,
-                success=False,
-            )
-    return AlgorithmResult(
-        answer=None, exact_distribution=last_dist, rounds_used=rounds, success=False
-    )
+        if a is None:
+            a = base if base is not None else int(rng.integers(2, modulus))
+            if (g := math.gcd(a, modulus)) > 1:
+                return AlgorithmResult(answer=g, exact_distribution=dist, rounds_used=rounds)
+        outcome = shor_quantum_part(a, modulus, seed=int(rng.integers(1 << 63)))
+        rounds += 1
+        dist, ell = outcome.exact_distribution, outcome.answer["ell"]
+        if ell:  # a read-out of 0 carries no information: Las Vegas runs the same base again
+            factor = _factor_from_round(a, modulus, outcome.answer["q"], ell)
+            a = None
+        if factor is not None or mode == "monte_carlo":
+            break
+    return AlgorithmResult(answer=factor, exact_distribution=dist, rounds_used=rounds, success=factor is not None)
+
+
+def _require_power(modulus: int, a: int, b: int, r: int) -> None:
+    """Refuse b unless it is one of the r powers of a modulo ``modulus``."""
+    if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
+        raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
+
+
+def _dlog_from_readout(k1: int, k2: int, r: int) -> int | None:
+    """The logarithm s = k2 * k1**-1 mod r from a joint read-out, or None when k1 has no inverse."""
+    return k2 * mod_inverse(k1, r) % r if math.gcd(k1, r) == 1 else None
 
 
 def _dlog_function_oracle(modulus: int, a: int, b: int, m: int, n: int) -> XorOracle:
@@ -177,8 +163,7 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     r = mult_order(a, modulus)
     if r & (r - 1):
         raise ValueError(f"the order of {a} is {r}, not a power of 2")
-    if b % modulus not in {mod_pow(a, e, modulus) for e in range(r)}:
-        raise ValueError(f"{b} is not a power of {a} modulo {modulus}")
+    _require_power(modulus, a, b, r)
     m = r.bit_length() - 1
     n = max((modulus - 1).bit_length(), 1)
     if m == 0:
@@ -189,9 +174,6 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     c = h_layer(2 * m, width).append(_dlog_function_oracle(modulus, a, b, m, n), range(width))
     _, dist, joint = conditional_readout(simulate(c), n, inverse_qft_registers(m, 2 * m, (0, m)), rng)
     r1, r2 = int(joint[:m], 2), int(joint[m:], 2)
-    if math.gcd(r1, r) == 1:
-        s = r2 * mod_inverse(r1, r) % r
-        answer = {"s": s, "r1": r1, "r2": r2, "r": r}
-        return AlgorithmResult(answer=answer, exact_distribution=dist)
-    answer = {"s": None, "r1": r1, "r2": r2, "r": r}
-    return AlgorithmResult(answer=answer, exact_distribution=dist, success=False)
+    s = _dlog_from_readout(r1, r2, r)
+    answer = {"s": s, "r1": r1, "r2": r2, "r": r}
+    return AlgorithmResult(answer=answer, exact_distribution=dist, success=s is not None)
