@@ -28,6 +28,7 @@ __all__ = [
     "numtheory",
     "oracles",
     "probabilities",
+    "qstate",
     "run",
     "simulate",
     "standard_gate",

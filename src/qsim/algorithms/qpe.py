@@ -87,10 +87,10 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     a power of 2 and m matches it; otherwise the joint law is the answer.
     """
     _require_counting_qubits(m)
+    n = max((modulus - 1).bit_length(), 1)
+    require_qubits(2 * m + n)  # before the order search and the work-register oracles
     r = mult_order(a, modulus)
     _require_power(modulus, a, b, r)
-    n = max((modulus - 1).bit_length(), 1)
-    require_qubits(2 * m + n)  # before the work-register oracles
     rng = np.random.default_rng(seed)
     c = h_layer(2 * m, 2 * m + n).x(2 * m + n - 1)  # the work register starts in |1>
     state = simulate(c.extend(_qpe_circuit((modmul_oracle(a, modulus), modmul_oracle(b, modulus)), m, n)))

@@ -160,12 +160,14 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     Succeeds iff the first read-out is coprime to the order; the payload then
     carries s with a**s = b mod modulus.
     """
+    n = max((modulus - 1).bit_length(), 1)
+    if mod_pow(a, 1, modulus) != 1:  # a = 1 has order 1 and needs no circuit
+        require_qubits(n + 2)  # the narrowest circuit, m = 1, before the order search
     r = mult_order(a, modulus)
     if r & (r - 1):
         raise ValueError(f"the order of {a} is {r}, not a power of 2")
     _require_power(modulus, a, b, r)
     m = r.bit_length() - 1
-    n = max((modulus - 1).bit_length(), 1)
     if m == 0:
         return AlgorithmResult(answer={"s": 1, "r1": 0, "r2": 0, "r": 1})
     rng = np.random.default_rng(seed)

@@ -26,14 +26,12 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
 
 import numpy as np
 
 from .gates import Gate, GateApplication, apply_kernel, classify, dagger, standard_gate
-from .qstate import Distribution, StateVector, marginal_probs
+from .qstate import Distribution, ResourceLimitError, StateVector, marginal_probs, require_qubits
 
-DEFAULT_MAX_QUBITS = 20
 UNITARY_MAX_QUBITS = 12
 MAX_SHOTS = 10**7
 BLOCK_QUBITS = 4  # widest fused block: a 16x16 matmul per pass over the amplitudes
@@ -42,20 +40,6 @@ _X = standard_gate("X")
 _H = standard_gate("H")
 _Z = standard_gate("Z")
 _SWAP = standard_gate("SWAP")
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds the desk-scale qubit or shot caps."""
-
-
-def max_qubits() -> int:
-    return int(os.environ.get("QSIM_MAX_QUBITS", DEFAULT_MAX_QUBITS))
-
-
-def require_qubits(n: int) -> None:
-    """Refuse an n-qubit state above the cap; call before allocating 2**n amplitudes."""
-    if n > max_qubits():
-        raise ResourceLimitError(f"{n} qubits exceeds the cap {max_qubits()}")
 
 
 class Circuit:

@@ -186,6 +186,7 @@ def _simon(args):
         if int(s, 2) == 0:
             _usage_error("the hidden string must be nonzero")
         n, s_int = len(s), int(s, 2)
+        require_qubits(2 * n)  # before the 2**n-row table
         table = TruthTable.from_function(n, n, lambda x: _bitstring(min(int(x, 2), int(x, 2) ^ s_int), n))
     oracle = xor_permutation_oracle(table)
     res = algorithms.simon(oracle, table.n_in, lambda x: table.rows[int(x, 2)], seed=args.seed)

@@ -414,6 +414,7 @@ def expr_to_circuit(e: BooleanExpr, uncompute: bool = True, n_vars: int | None =
 
 def expr_phase_oracle(e: BooleanExpr, n_vars: int) -> PhaseOracle:
     """|x> -> (-1)**e(x) |x> on ``n_vars`` qubits, its signs read off the expression's rows."""
+    require_qubits(n_vars)
     return PhaseOracle([1 - 2 * e.evaluate(_bitstring(x, n_vars)) for x in range(1 << n_vars)])
 
 
@@ -472,6 +473,7 @@ def modmul_oracle(a: int, modulus: int) -> PermutationOracle:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     n = max((modulus - 1).bit_length(), 1)
+    require_qubits(n)
     mapping = np.arange(1 << n)
     small = mapping < modulus
     mapping[small] = (a % modulus) * mapping[small] % modulus

@@ -1,4 +1,4 @@
-"""Complex state vectors, tensor composition, and entanglement checks.
+"""Complex state vectors, the qubit cap on their size, tensor composition, and entanglement checks.
 
 A state over ``n`` qubits is a normalized complex vector of length ``2**n``.
 Qubit 0 is the MOST significant bit of the basis index, i.e. the leftmost
@@ -7,12 +7,28 @@ symbol of the ket, matching the usual textbook reading order.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 NORM_ATOL = 1e-10
+DEFAULT_MAX_QUBITS = 20
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a request exceeds the desk-scale qubit or shot caps."""
+
+
+def max_qubits() -> int:
+    return int(os.environ.get("QSIM_MAX_QUBITS", DEFAULT_MAX_QUBITS))
+
+
+def require_qubits(n: int) -> None:
+    """Refuse an n-qubit state above the cap; call before allocating 2**n amplitudes."""
+    if n > max_qubits():
+        raise ResourceLimitError(f"{n} qubits exceeds the cap {max_qubits()}")
 
 
 def _bitstring(index: int, width: int) -> str:
@@ -126,6 +142,7 @@ def basis_state(n: int, x: int) -> StateVector:
         raise ValueError("a state needs at least one qubit")
     if not 0 <= x < (1 << n):
         raise ValueError(f"basis index {x} out of range for {n} qubits")
+    require_qubits(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[x] = 1.0
     return StateVector(n, amps)
@@ -133,6 +150,7 @@ def basis_state(n: int, x: int) -> StateVector:
 
 def kron(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product; a's qubits become the leading (leftmost) ones."""
+    require_qubits(a.num_qubits + b.num_qubits)
     return StateVector(a.num_qubits + b.num_qubits, np.kron(a.amps, b.amps))
 
 

@@ -1,11 +1,13 @@
-"""The package's exports resolve, and the pre-kernel API stays gone.
+"""The package's exports resolve and list its submodules, and the pre-kernel API stays gone.
 
 ``simulate`` is the one way to apply operators, and ``readout`` (with
 ``conditional_readout``) the one read-out, so the one-op wrappers and the
 collapsing measurement are no longer part of any module.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,18 @@ def test_every_exported_name_resolves(package):
     assert package.__all__ and len(set(package.__all__)) == len(package.__all__)
     for name in package.__all__:
         assert getattr(package, name) is not None, name
+
+
+def test_every_submodule_the_package_imports_is_exported():
+    """``from qsim import *`` binds each submodule that ``qsim/__init__.py`` imports."""
+    tree = ast.parse(Path(qsim.__file__).read_text())
+    imported = {
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    assert imported and sorted(imported - set(qsim.__all__)) == []
 
 
 @pytest.mark.parametrize("module", ["qsim", "qsim.gates", "qsim.qstate", "qsim.oracles"])

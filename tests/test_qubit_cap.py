@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qsim import algorithms as alg
+from qsim import cli
 from qsim.circuit import Circuit, ResourceLimitError, require_qubits, simulate
 from qsim.gates import GateApplication, rk_phase
 from qsim.oracles import (
@@ -20,16 +21,19 @@ from qsim.oracles import (
     TruthTable,
     Var,
     Xor,
+    expr_phase_oracle,
     expr_to_circuit,
     modexp_oracle,
+    modmul_oracle,
     xor_permutation_oracle,
 )
-from qsim.qstate import basis_state
+from qsim.qstate import basis_state, kron
 
 # the package re-exports drivers under their module names, so fetch the modules
 grover_mod, qpe_mod, shor_mod, simon_mod = (
     import_module(f"qsim.algorithms.{name}") for name in ("grover", "qpe", "shor", "simon")
 )
+oracles_mod, qstate_mod = import_module("qsim.oracles"), import_module("qsim.qstate")
 
 
 def cap(monkeypatch, n):
@@ -146,3 +150,74 @@ def test_simon_refused_before_the_state(monkeypatch):
     tripwire(monkeypatch, simon_mod, "simulate")
     with pytest.raises(ResourceLimitError):
         alg.simon(xor_permutation_oracle(table), 3, lambda x: table.rows[int(x, 2)])
+
+
+def test_basis_state(monkeypatch):
+    cap(monkeypatch, 4)
+    assert basis_state(4, 3).num_qubits == 4
+    tripwire(monkeypatch, qstate_mod, "StateVector")
+    with pytest.raises(ResourceLimitError, match="10 qubits exceeds the cap 4"):
+        basis_state(10, 3)
+
+
+def test_kron(monkeypatch):
+    cap(monkeypatch, 4)
+    a, b = basis_state(3, 1), basis_state(3, 5)
+    assert kron(basis_state(2, 1), basis_state(2, 2)).num_qubits == 4
+    tripwire(monkeypatch, qstate_mod, "StateVector")
+    with pytest.raises(ResourceLimitError, match="6 qubits exceeds the cap 4"):
+        kron(a, b)
+
+
+def test_modmul_oracle(monkeypatch):
+    cap(monkeypatch, 4)
+    assert modmul_oracle(2, 15).arity == 4
+    tripwire(monkeypatch, oracles_mod, "PermutationOracle")
+    with pytest.raises(ResourceLimitError, match="10 qubits exceeds the cap 4"):
+        modmul_oracle(2, 1001)
+
+
+def test_expr_phase_oracle(monkeypatch):
+    cap(monkeypatch, 4)
+    expr_phase_oracle(Var(0), 4)
+    tripwire(monkeypatch, oracles_mod, "_bitstring")  # the first of the 2**n rows
+    with pytest.raises(ResourceLimitError, match="10 qubits exceeds the cap 4"):
+        expr_phase_oracle(Var(0), 10)
+
+
+def test_simon_hidden_string_refused_before_the_table(monkeypatch, capsys):
+    cap(monkeypatch, 9)
+    tripwire(monkeypatch, TruthTable, "from_function")
+    assert cli.main(["simon", "--s", "10101"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 10 qubits exceeds the cap 9\n")
+
+
+@pytest.mark.parametrize(
+    "call, width",
+    [
+        (lambda: alg.shor_dlog_pow2(2147483647, 7, 49), 33),  # the narrowest circuit: m = 1
+        (lambda: alg.qpe_dlog(2147483647, 7, 49, 5), 41),
+    ],
+    ids=["shor_dlog_pow2", "qpe_dlog"],
+)
+def test_dlog_refused_before_the_order_search(monkeypatch, call, width):
+    cap(monkeypatch, 20)
+    tripwire(monkeypatch, shor_mod, "mult_order")
+    tripwire(monkeypatch, qpe_mod, "mult_order")
+    with pytest.raises(ResourceLimitError, match=f"{width} qubits exceeds the cap 20"):
+        call()
+
+
+def test_dlog_of_a_unit_base_needs_no_circuit(monkeypatch):
+    cap(monkeypatch, 20)
+    tripwire(monkeypatch, shor_mod, "simulate")
+    assert alg.shor_dlog_pow2(2147483647, 1, 1).answer == {"s": 1, "r1": 0, "r2": 0, "r": 1}
+
+
+def test_dlog_cli_refused_before_the_order_search(monkeypatch, capsys):
+    cap(monkeypatch, 20)
+    tripwire(monkeypatch, shor_mod, "mult_order")
+    assert cli.main(["dlog", "--N", "2147483647", "--a", "7", "--b", "49"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 33 qubits exceeds the cap 20\n")
