@@ -1,4 +1,4 @@
-"""Shared result envelope, the H layers, and the register read-outs every driver ends with."""
+"""Shared result envelope, H layers, the one-query Fourier round, and the read-outs every driver ends with."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..circuit import Circuit, simulate
+from ..circuit import Circuit, require_qubits, simulate
 from ..qstate import Distribution, StateVector, _bitstring, marginal_probs
 
 
@@ -54,17 +54,41 @@ def readout(state: StateVector, qubits, rng: np.random.Generator | None):
     return dist, bits
 
 
-def conditional_readout(state: StateVector, k: int, transform: Circuit, rng: np.random.Generator):
-    """Read out the last k qubits, then the leading register after ``transform``.
+def fourier_round(oracle, m: int, n: int) -> StateVector:
+    """One query of a hidden-subgroup round, from |0...0>: H on the first m qubits, then ``oracle``.
 
-    The trailing value z is drawn with ``readout``, one draw from its
-    marginal, but the state is not collapsed: only the leading register's
-    block conditional on z, ``state.amps[z::2**k]``, is normalized,
-    transformed and read out. Returns (z, distribution, bitstring).
+    ``oracle`` is an operator on all m + n qubits or a Circuit; the cap is
+    checked before anything is built.
     """
+    require_qubits(m + n)
+    c = h_layer(m, m + n)
+    return simulate(c.extend(oracle) if isinstance(oracle, Circuit) else c.append(oracle, range(m + n)))
+
+
+@dataclass(frozen=True, eq=False)
+class ConditionalSampler:
+    """Draws of a state's last k qubits, from their marginal computed once, then of its leading register.
+
+    The state is not collapsed: only the leading register's block conditional
+    on the drawn z, ``state.amps[z::2**k]``, is normalized, put through
+    ``transform`` and read out.
+    """
+
+    state: StateVector
+    k: int
+    transform: Circuit
+    marginal: Distribution
+
+    def draw(self, rng: np.random.Generator):
+        """(z, distribution, bitstring), with z drawn as ``readout`` draws it."""
+        z = int(rng.choice(self.marginal.values.size, p=self.marginal.values))
+        block = self.state.amps[z :: 1 << self.k]
+        width = self.state.num_qubits - self.k
+        lead = simulate(self.transform, StateVector(width, block / np.linalg.norm(block)))
+        return (z, *readout(lead, range(width), rng))
+
+
+def conditional_sampler(state: StateVector, k: int, transform: Circuit) -> ConditionalSampler:
+    """A sampler of ``state``'s last k qubits and, conditional on them, its leading register after ``transform``."""
     n = state.num_qubits
-    _, bits = readout(state, range(n - k, n), rng)
-    z = int(bits, 2)
-    block = state.amps[z :: 1 << k]
-    lead = simulate(transform, StateVector(n - k, block / np.linalg.norm(block)))
-    return (z, *readout(lead, range(n - k), rng))
+    return ConditionalSampler(state, k, transform, readout(state, range(n - k, n), None)[0])

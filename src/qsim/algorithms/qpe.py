@@ -20,11 +20,11 @@ import numpy as np
 
 from ..circuit import Circuit, require_qubits, simulate
 from ..numtheory import mult_order
-from ..oracles import modmul_oracle, require_bitstrings
+from ..oracles import modmul_oracle, require_bitstrings, shor_registers
 from ..qstate import StateVector, kron
-from .common import AlgorithmResult, h_layer, readout
-from .qft import inverse_qft_registers
-from .shor import _dlog_from_readout, _require_power, order_finding_readout, shor_registers
+from .common import AlgorithmResult, conditional_sampler, h_layer, readout
+from .qft import inverse_qft_circuit, inverse_qft_registers
+from .shor import _dlog_from_readout, _require_power, order_finding_readout
 
 
 def _qpe_circuit(us, m: int, n: int, transform: bool = True) -> Circuit:
@@ -77,7 +77,7 @@ def qpe_order_finding(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     rng = np.random.default_rng(seed)
     c = h_layer(m, m + n).x(m + n - 1)  # the work register starts in |1>
     state = simulate(c.extend(_qpe_circuit((modmul_oracle(a, modulus),), m, n, transform=False)))
-    return order_finding_readout(state, a, modulus, rng)
+    return order_finding_readout(conditional_sampler(state, n, inverse_qft_circuit(m)), a, modulus, rng)
 
 
 def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmResult:
@@ -87,7 +87,7 @@ def qpe_dlog(modulus: int, a: int, b: int, m: int, seed: int = 0) -> AlgorithmRe
     a power of 2 and m matches it; otherwise the joint law is the answer.
     """
     _require_counting_qubits(m)
-    n = max((modulus - 1).bit_length(), 1)
+    _, _, n = shor_registers(modulus)
     require_qubits(2 * m + n)  # before the order search and the work-register oracles
     r = mult_order(a, modulus)
     _require_power(modulus, a, b, r)

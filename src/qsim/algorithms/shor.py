@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from ..circuit import require_qubits, simulate
+from ..circuit import require_qubits
 from ..numtheory import (
     best_order_candidate,
     is_perfect_power,
@@ -16,24 +16,9 @@ from ..numtheory import (
     mod_pow,
     mult_order,
 )
-from ..oracles import (
-    XorOracle,
-    _power_table,
-    _xor_oracle,
-    modexp_oracle,
-    smallest_power_of_two_above,
-)
-from ..qstate import StateVector
-from .common import AlgorithmResult, conditional_readout, h_layer
+from ..oracles import XorOracle, _power_table, _xor_oracle, modexp_oracle, shor_registers
+from .common import AlgorithmResult, ConditionalSampler, conditional_sampler, fourier_round
 from .qft import inverse_qft_circuit, inverse_qft_registers
-
-
-def shor_registers(modulus: int):
-    """(q, m, n): exponent-register dimension and both register widths."""
-    q = smallest_power_of_two_above(modulus * modulus)
-    m = q.bit_length() - 1
-    n = max((modulus - 1).bit_length(), 1)
-    return q, m, n
 
 
 def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
@@ -48,23 +33,22 @@ def shor_quantum_part(a: int, modulus: int, seed: int = 0) -> AlgorithmResult:
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
     q, m, n = shor_registers(modulus)
-    require_qubits(m + n)  # before the 2**(m+n) state
+    require_qubits(m + n)  # before the oracle and the 2**(m+n) state
     rng = np.random.default_rng(seed)
+    state = fourier_round(modexp_oracle(a, modulus, q), m, n)
+    return order_finding_readout(conditional_sampler(state, n, inverse_qft_circuit(m)), a, modulus, rng)
 
-    c = h_layer(m, m + n).append(modexp_oracle(a, modulus, q), range(m + n))
-    return order_finding_readout(simulate(c), a, modulus, rng)
 
-
-def order_finding_readout(state: StateVector, a: int, modulus: int, rng) -> AlgorithmResult:
+def order_finding_readout(sampler: ConditionalSampler, a: int, modulus: int, rng) -> AlgorithmResult:
     """Measure the work register, inverse-transform the exponent register, read it out.
 
-    The tail shared by shor_quantum_part and qpe_order_finding; ``rng`` draws
-    the work value z first and the read-out second, through
-    ``conditional_readout``, which transforms only the exponent register's
-    block conditional on z.
+    The tail shared by shor_quantum_part and qpe_order_finding; ``sampler``
+    reads out the work register and then the exponent register's block
+    conditional on its value z, and ``rng`` draws z first and the read-out
+    second.
     """
     q, m, n = shor_registers(modulus)
-    z, dist, bits = conditional_readout(state, n, inverse_qft_circuit(m), rng)
+    z, dist, bits = sampler.draw(rng)
     # the powers a**e mod modulus repeat with period r, so z recurs every r exponents from its first
     r = mult_order(a, modulus)
     first_exponent = next(e for e in range(r) if mod_pow(a, e, modulus) == z)
@@ -160,7 +144,7 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     Succeeds iff the first read-out is coprime to the order; the payload then
     carries s with a**s = b mod modulus.
     """
-    n = max((modulus - 1).bit_length(), 1)
+    _, _, n = shor_registers(modulus)
     if mod_pow(a, 1, modulus) != 1:  # a = 1 has order 1 and needs no circuit
         require_qubits(n + 2)  # the narrowest circuit, m = 1, before the order search
     r = mult_order(a, modulus)
@@ -171,10 +155,8 @@ def shor_dlog_pow2(modulus: int, a: int, b: int, seed: int = 0) -> AlgorithmResu
     if m == 0:
         return AlgorithmResult(answer={"s": 1, "r1": 0, "r2": 0, "r": 1})
     rng = np.random.default_rng(seed)
-
-    width = 2 * m + n
-    c = h_layer(2 * m, width).append(_dlog_function_oracle(modulus, a, b, m, n), range(width))
-    _, dist, joint = conditional_readout(simulate(c), n, inverse_qft_registers(m, 2 * m, (0, m)), rng)
+    state = fourier_round(_dlog_function_oracle(modulus, a, b, m, n), 2 * m, n)
+    _, dist, joint = conditional_sampler(state, n, inverse_qft_registers(m, 2 * m, (0, m))).draw(rng)
     r1, r2 = int(joint[:m], 2), int(joint[m:], 2)
     s = _dlog_from_readout(r1, r2, r)
     answer = {"s": s, "r1": r1, "r2": r2, "r": r}

@@ -5,7 +5,7 @@ An op binds an operator to its qubits: a gate, a permutation, XOR or phase
 oracle or a step that applies itself in place (see ``gates``); a phase oracle,
 which has no matrix, is its own inverse. A driver that measures one
 register before transforming another reads it out with
-``algorithms.common.conditional_readout``, which transforms only the block
+``algorithms.common.conditional_sampler``, which transforms only the block
 conditional on the drawn value. ``simulate`` and ``unitary_of`` run a circuit
 through one fusion pass: runs of uncontrolled 1-qubit gates become one product
 per qubit, emitted as blocks of up to ``BLOCK_QUBITS`` adjacent qubits (a

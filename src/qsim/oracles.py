@@ -441,12 +441,11 @@ def toffoli_ladder(n_controls: int) -> Circuit:
     return c
 
 
-def _modexp_sizes(modulus: int, q: int):
-    if q < 2 or q & (q - 1):
-        raise ValueError("exponent-register dimension must be a power of 2")
-    m = q.bit_length() - 1
-    n = max((modulus - 1).bit_length(), 1)
-    return m, n
+def shor_registers(modulus: int):
+    """(q, m, n) modulo ``modulus``: the exponent register's dimension q, the least power of 2
+    above modulus**2, its width m, and the width n of a work register that holds every residue."""
+    q = smallest_power_of_two_above(modulus * modulus)
+    return q, q.bit_length() - 1, max((modulus - 1).bit_length(), 1)
 
 
 def _power_table(a: int, modulus: int, count: int) -> np.ndarray:
@@ -461,8 +460,10 @@ def modexp_oracle(a: int, modulus: int, q: int) -> XorOracle:
     """Permutation (l, y) -> (l, y xor (a**l mod modulus)) on log2(q)+ceil(log2 N) qubits."""
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
-    m, n = _modexp_sizes(modulus, q)
-    require_qubits(m + n)
+    if q < 2 or q & (q - 1):
+        raise ValueError("exponent-register dimension must be a power of 2")
+    _, _, n = shor_registers(modulus)
+    require_qubits(q.bit_length() - 1 + n)
     return _xor_oracle(_power_table(a, modulus, q), n)
 
 
@@ -472,7 +473,7 @@ def modmul_oracle(a: int, modulus: int) -> PermutationOracle:
         raise ValueError("modulus must be at least 2")
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible modulo {modulus}")
-    n = max((modulus - 1).bit_length(), 1)
+    _, _, n = shor_registers(modulus)
     require_qubits(n)
     mapping = np.arange(1 << n)
     small = mapping < modulus
@@ -488,8 +489,7 @@ def order2_modexp_circuit(a: int, modulus: int) -> Circuit:
     """
     if a % modulus == 1 or mult_order(a, modulus) != 2:
         raise ValueError(f"{a} does not have order 2 modulo {modulus}")
-    q = smallest_power_of_two_above(modulus * modulus)
-    m, n = _modexp_sizes(modulus, q)
+    _, m, n = shor_registers(modulus)
     c = Circuit(m + n)
     parity_qubit = m - 1
     c.mcx(((parity_qubit, 0),), m + n - 1)
@@ -502,10 +502,7 @@ def order2_modexp_circuit(a: int, modulus: int) -> Circuit:
 
 def smallest_power_of_two_above(threshold: int) -> int:
     """Least power of 2 strictly greater than ``threshold``."""
-    q = 1
-    while q <= threshold:
-        q <<= 1
-    return q
+    return 1 << threshold.bit_length()
 
 
 def xor_permutation_oracle(tt: TruthTable) -> XorOracle:

@@ -187,6 +187,18 @@ def reference_dlog_values(modulus: int, a: int, b: int, m: int) -> np.ndarray:
     return values
 
 
+def coset_law(values, dims, z) -> np.ndarray:
+    """Normalised |fftn|**2 of the indicator of {x : values[x] == z}, reshaped to ``dims``, flattened.
+
+    In a hidden-subgroup round (H on the input register, one query of f, the
+    output measured as z, then the input register's transform) this is the
+    input register's law conditional on z, over the group of shape ``dims``:
+    (2,)*n for Simon, (q,) for order finding and (q, q) for the discrete log.
+    """
+    power = np.abs(np.fft.fftn((np.asarray(values) == z).reshape(dims))) ** 2
+    return (power / power.sum()).reshape(-1)
+
+
 def reference_apply_permutation(s: StateVector, oracle, targets=None, controls=()) -> StateVector:
     n = s.num_qubits
     k = oracle.total_qubits

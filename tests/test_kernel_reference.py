@@ -15,7 +15,7 @@ import qsim.gates
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsim.algorithms.common import conditional_readout
+from qsim.algorithms.common import conditional_sampler
 from qsim.algorithms.qft import inverse_qft_circuit, qft_circuit
 from qsim.circuit import Circuit, _kernels, _run, simulate, unitary_of
 from qsim.gates import apply_kernel, rk_phase, rz, standard_gate, u_gate
@@ -71,7 +71,7 @@ def test_apply_permutation_matches_reference(case):
 
 @settings(max_examples=200, deadline=None)
 @given(circuits(max_qubits=5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
-def test_conditional_readout_matches_collapse_then_transform(transform, k, seed, sparse):
+def test_conditional_sampler_matches_collapse_then_transform(transform, k, seed, sparse):
     n = transform.num_qubits + k
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -82,7 +82,7 @@ def test_conditional_readout_matches_collapse_then_transform(transform, k, seed,
     s = StateVector(n, amps / np.linalg.norm(amps))
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
-    z, dist, bits = conditional_readout(s, k, transform, fast_rng)
+    z, dist, bits = conditional_sampler(s, k, transform).draw(fast_rng)
 
     record = reference_measure(s, range(n - k, n), slow_rng)
     collapsed = reference_run(record.post_state.amps, Circuit(n, transform.ops))

@@ -5,9 +5,12 @@ The other laws come from ``perfbench/reference.py``, which uses only ``math`` an
 NumPy: order finding is |FFT|^2 of the indicator of the drawn residue's
 exponents, the discrete log is 1/r on the line l2 = s*l1, a Simon round is
 uniform on the strings orthogonal to s, and Deutsch-Jozsa and
-Bernstein-Vazirani follow the Walsh sum.
+Bernstein-Vazirani follow the Walsh sum. Given the drawn output z, the input
+register's law in Simon's round, order finding and the discrete log is also
+``slow_reference.coset_law``: |DFT|^2 of the indicator of f's z-coset.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -15,15 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsim.algorithms as alg
+from qsim.algorithms.common import conditional_sampler, fourier_round
+from qsim.algorithms.qft import inverse_qft_registers
+from qsim.algorithms.shor import _dlog_function_oracle
 from qsim.gates import Gate
 from qsim.oracles import TruthTable, synth_bit_oracle, synth_bv_oracle, synth_multi_oracle, xor_permutation_oracle
 from qsim.qstate import basis_state
 
 from conftest import perfbench_module
+from slow_reference import coset_law, reference_dlog_values, reference_modexp_values
 
 reference = perfbench_module("reference")
+simon_module = importlib.import_module("qsim.algorithms.simon")  # the package's ``simon`` hides it
 
 LAW_TOL = 1e-10
+COSET_TOL = 1e-12
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -100,8 +109,8 @@ def test_discrete_log_is_uniform_on_one_line(case, exponent, driver, seed):
 
 
 @st.composite
-def two_to_one_tables(draw):
-    n = draw(st.integers(1, 6))
+def two_to_one_tables(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     s = draw(st.integers(1, (1 << n) - 1))
     relabel = draw(st.permutations(range(1 << n)))
     rows = tuple(format(relabel[min(x, x ^ s)], f"0{n}b") for x in range(1 << n))
@@ -117,6 +126,41 @@ def test_simon_round_is_uniform_on_the_orthogonal_strings(case, form, seed):
     got = reference.dist_array(alg.simon_round_distribution(oracle, n).entries, n)
     assert np.max(np.abs(got - want)) <= LAW_TOL
     assert want[int(alg.simon_round(oracle, n, np.random.default_rng(seed)), 2)] > reference.SUPPORT_FLOOR
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_to_one_tables(max_n=5), SEEDS)
+def test_simon_conditional_law_is_the_coset_law(case, seed):
+    n, _, table = case
+    z, got, _ = simon_module._round_sampler(xor_permutation_oracle(table), n).draw(np.random.default_rng(seed))
+    values = [int(row, 2) for row in table.rows]
+    assert np.max(np.abs(got.values - coset_law(values, (2,) * n, z))) <= COSET_TOL
+
+
+# the orders include 3 and 6, which are not powers of 2
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORDER_CASES), SEEDS)
+def test_order_finding_conditional_law_is_the_coset_law(case, seed):
+    modulus, a = case
+    result = alg.shor_quantum_part(a, modulus, seed=seed)
+    q, z = result.answer["q"], result.answer["z"]
+    want = coset_law(reference_modexp_values(a, modulus, q), (q,), z)
+    assert np.max(np.abs(result.exact_distribution.values - want)) <= COSET_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(DLOG_CASES), st.integers(0, 15), SEEDS)
+def test_discrete_log_conditional_law_is_the_coset_law(case, exponent, seed):
+    modulus, a, r = case
+    b = reference.orbit(a, modulus)[exponent % r]
+    m, n = r.bit_length() - 1, (modulus - 1).bit_length()
+    # the driver's own round and sampler, drawn with its seed, so z is the driver's z
+    state = fourier_round(_dlog_function_oracle(modulus, a, b, m, n), 2 * m, n)
+    sampler = conditional_sampler(state, n, inverse_qft_registers(m, 2 * m, (0, m)))
+    z, got, _ = sampler.draw(np.random.default_rng(seed))
+    assert np.array_equal(got.values, alg.shor_dlog_pow2(modulus, a, b, seed=seed).exact_distribution.values)
+    want = coset_law(reference_dlog_values(modulus, a, b, m), (r, r), z)
+    assert np.max(np.abs(got.values - want)) <= COSET_TOL
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """The package's exports resolve and list its submodules, and the pre-kernel API stays gone.
 
 ``simulate`` is the one way to apply operators, and ``readout`` (with
-``conditional_readout``) the one read-out, so the one-op wrappers and the
+``conditional_sampler``) the one read-out, so the one-op wrappers and the
 collapsing measurement are no longer part of any module.
 """
 

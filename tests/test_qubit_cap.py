@@ -30,8 +30,8 @@ from qsim.oracles import (
 from qsim.qstate import basis_state, kron
 
 # the package re-exports drivers under their module names, so fetch the modules
-grover_mod, qpe_mod, shor_mod, simon_mod = (
-    import_module(f"qsim.algorithms.{name}") for name in ("grover", "qpe", "shor", "simon")
+common_mod, grover_mod, qpe_mod, shor_mod = (
+    import_module(f"qsim.algorithms.{name}") for name in ("common", "grover", "qpe", "shor")
 )
 oracles_mod, qstate_mod = import_module("qsim.oracles"), import_module("qsim.qstate")
 
@@ -146,10 +146,14 @@ def test_sat_refused_before_the_search_circuit(monkeypatch, expr, n_vars, ancill
 
 def test_simon_refused_before_the_state(monkeypatch):
     table = TruthTable.from_function(3, 3, lambda x: format(min(int(x, 2), int(x, 2) ^ 0b110), "03b"))
+    run = lambda: alg.simon(xor_permutation_oracle(table), 3, lambda x: table.rows[int(x, 2)])
+    tripwire(monkeypatch, common_mod, "simulate")  # the round's state is built there
+    cap(monkeypatch, 6)
+    with pytest.raises(AssertionError, match="ran past"):  # at the cap the tripwire is reached
+        run()
     cap(monkeypatch, 5)
-    tripwire(monkeypatch, simon_mod, "simulate")
     with pytest.raises(ResourceLimitError):
-        alg.simon(xor_permutation_oracle(table), 3, lambda x: table.rows[int(x, 2)])
+        run()
 
 
 def test_basis_state(monkeypatch):
@@ -211,7 +215,9 @@ def test_dlog_refused_before_the_order_search(monkeypatch, call, width):
 
 def test_dlog_of_a_unit_base_needs_no_circuit(monkeypatch):
     cap(monkeypatch, 20)
-    tripwire(monkeypatch, shor_mod, "simulate")
+    tripwire(monkeypatch, common_mod, "simulate")  # the round's state is built there
+    with pytest.raises(AssertionError, match="ran past"):  # a base of order 4 builds the circuit
+        alg.shor_dlog_pow2(17, 4, 16)
     assert alg.shor_dlog_pow2(2147483647, 1, 1).answer == {"s": 1, "r1": 0, "r2": 0, "r": 1}
 
 

@@ -6,7 +6,7 @@ import pytest
 from qsim import algorithms as alg
 from qsim.gf2 import BitMatrix, rank
 from qsim.oracles import TruthTable, synth_multi_oracle, xor_permutation_oracle
-from qsim.qstate import StateVector, basis_state, kron, schmidt_rank
+from qsim.qstate import StateVector, basis_state, kron, marginal_probs, schmidt_rank
 from qsim.circuit import Circuit, simulate
 
 from slow_reference import reference_measure
@@ -106,15 +106,19 @@ def test_driver_recovers_the_paper_string():
 
 def test_driver_simulates_the_round_circuit_once(monkeypatch):
     # n = 8, seed 1 takes 13 batches; each reads its rounds out of the same post-oracle state
-    module = sys.modules["qsim.algorithms.simon"]
-    runs = []
-    original = module.simulate
-    monkeypatch.setattr(module, "simulate", lambda c, initial=None: runs.append(initial) or original(c, initial))
+    runs, marginals = [], []
+    for name in ("simon", "common"):  # the round is built in common, its law in simon
+        module = sys.modules[f"qsim.algorithms.{name}"]
+        monkeypatch.setattr(module, "simulate", lambda c, initial=None: runs.append(initial) or simulate(c, initial))
+    common = sys.modules["qsim.algorithms.common"]
+    monkeypatch.setattr(common, "marginal_probs", lambda *a: marginals.append(a) or marginal_probs(*a))
     s_int = 0b10110011
     table = canonical_two_to_one(8, s_int)
     res = alg.simon(xor_permutation_oracle(table), 8, probe_for(table), seed=1)
     assert res.answer == format(s_int, "08b") and res.rounds_used == 91
     assert sum(initial is None for initial in runs) == 1
+    # one per round, plus the round law and the output marginal, each computed once
+    assert len(marginals) == 91 + 2
 
 
 def test_driver_failure_path():

@@ -14,7 +14,6 @@ import re
 
 import numpy as np
 import pytest
-import qsim.algorithms.qft
 import qsim.algorithms.shor
 import qsim.oracles
 from hypothesis import given, settings
@@ -167,20 +166,24 @@ def test_dlog_values_equal_the_double_loop(modulus, a, b, m):
 PAPER_TABLE = TruthTable(3, 3, ("000", "001", "010", "100", "010", "100", "000", "001"))
 FOUR_BIT_TABLE = TruthTable.from_function(4, 4, lambda x: min(int(x, 2), int(x, 2) ^ 0b1011))
 
+
+def _simon(table, seed):
+    """Simon's driver on a table's oracle, built at the call so that the ``_xor_oracle`` seam reaches it."""
+    return alg.simon(xor_permutation_oracle(table), table.n_in, lambda x: table.rows[int(x, 2)], seed=seed)
+
+
+# each driver with the seams it reaches: an XOR oracle ("xor") and an inverse transform ("qft")
 DRIVERS = [
-    pytest.param(functools.partial(alg.shor_quantum_part, 2, 21, seed=5), id="shor_quantum_part-21"),
-    pytest.param(functools.partial(alg.shor_quantum_part, 7, 33, seed=2), id="shor_quantum_part-33"),
-    pytest.param(functools.partial(alg.qpe_order_finding, 2, 21, seed=5), id="qpe_order_finding-21"),
-    pytest.param(functools.partial(alg.shor_factor, 21, seed=3), id="shor_factor-21"),
-    pytest.param(functools.partial(alg.shor_factor, 33, seed=1, base=5), id="shor_factor-33"),
-    pytest.param(functools.partial(alg.shor_dlog_pow2, 34, 27, 3, seed=4), id="shor_dlog_pow2-34"),
-    pytest.param(functools.partial(alg.shor_dlog_pow2, 17, 3, 3**5 % 17, seed=1), id="shor_dlog_pow2-17"),
-    pytest.param(functools.partial(alg.qpe_dlog, 34, 27, 3, 4, seed=4), id="qpe_dlog-34"),
-    pytest.param(functools.partial(alg.simon, xor_permutation_oracle(PAPER_TABLE), 3, lambda x: PAPER_TABLE.rows[int(x, 2)], seed=6), id="simon-3"),
-    pytest.param(
-        functools.partial(alg.simon, xor_permutation_oracle(FOUR_BIT_TABLE), 4, lambda x: FOUR_BIT_TABLE.rows[int(x, 2)], seed=2),
-        id="simon-4",
-    ),
+    pytest.param(functools.partial(alg.shor_quantum_part, 2, 21, seed=5), {"xor", "qft"}, id="shor_quantum_part-21"),
+    pytest.param(functools.partial(alg.shor_quantum_part, 7, 33, seed=2), {"xor", "qft"}, id="shor_quantum_part-33"),
+    pytest.param(functools.partial(alg.qpe_order_finding, 2, 21, seed=5), {"qft"}, id="qpe_order_finding-21"),
+    pytest.param(functools.partial(alg.shor_factor, 21, seed=3), {"xor", "qft"}, id="shor_factor-21"),
+    pytest.param(functools.partial(alg.shor_factor, 33, seed=1, base=5), {"xor", "qft"}, id="shor_factor-33"),
+    pytest.param(functools.partial(alg.shor_dlog_pow2, 34, 27, 3, seed=4), {"xor", "qft"}, id="shor_dlog_pow2-34"),
+    pytest.param(functools.partial(alg.shor_dlog_pow2, 17, 3, 3**5 % 17, seed=1), {"xor", "qft"}, id="shor_dlog_pow2-17"),
+    pytest.param(functools.partial(alg.qpe_dlog, 34, 27, 3, 4, seed=4), {"qft"}, id="qpe_dlog-34"),
+    pytest.param(functools.partial(_simon, PAPER_TABLE, seed=6), {"xor"}, id="simon-3"),
+    pytest.param(functools.partial(_simon, FOUR_BIT_TABLE, seed=2), {"xor"}, id="simon-4"),
 ]
 
 
@@ -188,26 +191,33 @@ def _same_results(fast, slow):
     return fast.answer == slow.answer and fast.rounds_used == slow.rounds_used and fast.success == slow.success
 
 
-@pytest.mark.parametrize("driver", DRIVERS)
-def test_drivers_match_full_permutations_bit_for_bit(monkeypatch, driver):
+def _recording(calls, fake):
+    return lambda *args: calls.append(args) or fake(*args)
+
+
+@pytest.mark.parametrize("driver, seams", DRIVERS)
+def test_drivers_match_full_permutations_bit_for_bit(monkeypatch, driver, seams):
     fast = driver()
+    built = []
     for module in (qsim.oracles, qsim.algorithms.shor):
-        monkeypatch.setattr(module, "_xor_oracle", reference_xor_oracle)
+        monkeypatch.setattr(module, "_xor_oracle", _recording(built, reference_xor_oracle))
     slow = driver()
+    assert bool(built) == ("xor" in seams)
     assert _same_results(fast, slow)
     assert _same_bits(fast.exact_distribution.values, slow.exact_distribution.values)
 
 
-@pytest.mark.parametrize("driver", DRIVERS)
-def test_drivers_match_a_rebuilt_transform(monkeypatch, driver):
+@pytest.mark.parametrize("driver, seams", DRIVERS)
+def test_drivers_match_a_rebuilt_transform(monkeypatch, driver, seams):
     """A transform rebuilt from fresh ops runs gate by gate, not as the FFT: the same answers, laws to 1e-12."""
     fast = driver()
-    for module in (qsim.algorithms.qft, qsim.algorithms.shor):
-        monkeypatch.setattr(module, "inverse_qft_circuit", reference_inverse_qft_circuit)
+    rebuilt = []
     # the package's ``qpe`` function hides the module of that name
     for module in (qsim.algorithms.shor, importlib.import_module("qsim.algorithms.qpe")):
-        monkeypatch.setattr(module, "inverse_qft_registers", reference_inverse_qft_registers)
+        monkeypatch.setattr(module, "inverse_qft_circuit", _recording(rebuilt, reference_inverse_qft_circuit))
+        monkeypatch.setattr(module, "inverse_qft_registers", _recording(rebuilt, reference_inverse_qft_registers))
     slow = driver()
+    assert bool(rebuilt) == ("qft" in seams)
     assert _same_results(fast, slow)
     assert np.max(np.abs(fast.exact_distribution.values - slow.exact_distribution.values)) <= 1e-12
 
